@@ -112,8 +112,8 @@ def _diff_device(
 ) -> DeviceDelta:
     # Two-pointer merge over both FIBs in prefix order: one linear pass,
     # no intermediate dicts or set algebra — this runs on every touched
-    # device of every delta, against full-table tries. The sorted lists
-    # are cached on the devices, so each trie is walked once ever.
+    # device of every delta, against full-table FIBs. Each device's
+    # table caches its sorted view, so a FIB is sorted once ever.
     base_items = base.sorted_entries()
     target_items = target.sorted_entries()
     added: list[Prefix] = []

@@ -54,9 +54,6 @@ class DeviceForwarding:
         self.trie: PrefixTrie[ForwardingEntry] = PrefixTrie()
         self._compiled: Optional[CompiledLpmIndex] = None
         self._signature: Optional[int] = None
-        self._sorted_entries: Optional[
-            list[tuple[Prefix, ForwardingEntry]]
-        ] = None
         self.interface_addresses: dict[str, tuple[int, int]] = {}
         self.local_addresses: set[int] = set()
         self.acls: dict[str, Acl] = {
@@ -111,26 +108,21 @@ class DeviceForwarding:
 
         Built once per device (lazily) and reused across every
         destination atom by the atom-graph engine; a probe is one
-        binary search instead of a 32-bit trie walk.
+        binary search instead of a hash probe per populated length.
         """
         if self._compiled is None:
             self._compiled = CompiledLpmIndex(self.trie.lpm_intervals())
         return self._compiled
 
     def sorted_entries(self) -> list[tuple[Prefix, ForwardingEntry]]:
-        """Every FIB entry in (network, length) order, walked once.
+        """Every FIB entry in (network, length) order.
 
-        The trie walk is the expensive part of both the content
-        signature and a delta diff; caching the flattened list means a
-        baseline diffed against many churned snapshots walks each trie
-        exactly once (the device is immutable after construction).
+        That is the table's own iteration order, served from its cached
+        sorted view: the content signature and every delta diff against
+        this device share one sort (the device is immutable after
+        construction).
         """
-        if self._sorted_entries is None:
-            self._sorted_entries = sorted(
-                self.trie.items(),
-                key=lambda kv: (kv[0].network, kv[0].length),
-            )
-        return self._sorted_entries
+        return list(self.trie.items())
 
     def content_signature(self) -> int:
         """Content hash of everything this device's forwarding depends on.
@@ -174,7 +166,7 @@ class DeviceForwarding:
         """Adopt ``other``'s compiled LPM index when content allows it.
 
         Only legal between devices with equal :meth:`content_signature`
-        (identical tries flatten to identical ranges); the delta engine
+        (identical tables flatten to identical ranges); the delta engine
         uses this so untouched devices never re-flatten their FIBs.
         Returns whether an index was actually adopted.
         """
@@ -234,7 +226,7 @@ class CompiledLpmIndex:
         return len(self.ranges)
 
     def probe(self, address: int) -> Optional[ForwardingEntry]:
-        """The LPM decision for ``address`` (no trie walk)."""
+        """The LPM decision for ``address`` (one binary search)."""
         if bus.ACTIVE.enabled:
             bus.ACTIVE.count("verify.index_probes")
         return self.ranges[bisect_right(self._starts, address) - 1][2]

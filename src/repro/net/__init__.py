@@ -3,7 +3,7 @@
 This package provides the value types everything else in :mod:`repro` is
 built on: IPv4 addresses and prefixes (:mod:`repro.net.addr`), sets of
 32-bit integers as disjoint closed intervals (:mod:`repro.net.intervals`),
-longest-prefix-match tries (:mod:`repro.net.trie`), and a rectangle-based
+longest-prefix-match tables (:mod:`repro.net.trie`), and a rectangle-based
 header-space algebra used by the verification engine
 (:mod:`repro.net.headerspace`).
 """

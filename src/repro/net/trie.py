@@ -1,40 +1,47 @@
-"""Binary trie keyed by IPv4 prefixes with longest-prefix-match lookup.
+"""Longest-prefix-match table keyed by IPv4 prefixes.
 
-Used both by the emulated routers (FIB lookup) and by the verifier
-(collecting the network-wide prefix universe). Values are arbitrary; one
-value per exact prefix.
+Used by the emulated routers (RIB best routes, FIB lookup) and by the
+verifier (per-device forwarding tables, the compiled LPM index). Values
+are arbitrary; one value per exact prefix.
+
+**Representation.** One hash table per prefix length: 33 dicts mapping
+``network -> (prefix, value)``, plus a tuple of the populated lengths,
+longest first. Nothing is allocated per bit and no ``Prefix`` is built
+on a lookup — a hit returns the stored ``(prefix, value)`` pair.
+
+**Complexity.** ``get`` / ``insert`` / ``remove`` / ``in`` are one dict
+operation. ``longest_match`` and ``covering`` are one masked ``dict.get``
+per *populated* length (at most 33, in practice a handful). Iteration
+and ``lpm_intervals`` run over a sorted view built in O(n log n) on the
+first call after a mutation and cached until the next one.
+
+**Ordering contract.** ``items()`` / ``keys()`` / ``values()`` yield in
+ascending ``(network, length)`` order — a covering prefix before
+everything it covers, siblings by address. Callers rely on this and do
+not re-sort. The cached view is assigned once and never mutated in
+place, so concurrent readers of an unchanging table are safe.
+
+**Merge contract.** ``lpm_intervals()`` tiles ``[0, 2**32 - 1]`` exactly
+and merges adjacent ranges only when they carry the *same value object*
+(``is``, not ``==``); unmatched space carries ``None``.
 """
 
 from __future__ import annotations
 
 from typing import Generic, Iterator, Optional, TypeVar
 
-from repro.net.addr import Prefix
+from repro.net.addr import MAX_IPV4, Prefix, prefix_mask
 
 V = TypeVar("V")
 
-
-class _Node(Generic[V]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self) -> None:
-        self.children: list[Optional["_Node[V]"]] = [None, None]
-        self.value: Optional[V] = None
-        self.has_value = False
-
-
-#: Shared placeholder for absent children in the lpm_intervals DFS: a
-#: valueless leaf, so the frame just emits its range with the inherited
-#: value.
-_EMPTY_NODE: _Node = _Node()
+_MASKS = tuple(prefix_mask(length) for length in range(33))
 
 
 class PrefixTrie(Generic[V]):
     """A mapping from :class:`Prefix` to values with LPM queries."""
 
     def __init__(self) -> None:
-        self._root: _Node[V] = _Node()
-        self._size = 0
+        self.clear()
 
     def __len__(self) -> int:
         return self._size
@@ -43,178 +50,132 @@ class PrefixTrie(Generic[V]):
         return self._size > 0
 
     def __contains__(self, prefix: Prefix) -> bool:
-        return self.get(prefix) is not None or self._has_exact(prefix)
+        return prefix.network in self._buckets[prefix.length]
 
     # -- mutation --------------------------------------------------------
 
     def insert(self, prefix: Prefix, value: V) -> None:
         """Insert or replace the value at ``prefix``."""
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                child = _Node()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
+        bucket = self._buckets[prefix.length]
+        before = len(bucket)
+        bucket[prefix.network] = (prefix, value)
+        self._view = None
+        if len(bucket) != before:
             self._size += 1
-        node.value = value
-        node.has_value = True
+            if not before:
+                self._index_lengths()
 
     def remove(self, prefix: Prefix) -> Optional[V]:
         """Remove the value at exactly ``prefix``; returns it, or None."""
-        path: list[tuple[_Node[V], int]] = []
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return None
-            path.append((node, bit))
-            node = child
-        if not node.has_value:
+        bucket = self._buckets[prefix.length]
+        hit = bucket.pop(prefix.network, None)
+        if hit is None:
             return None
-        value = node.value
-        node.value = None
-        node.has_value = False
+        self._view = None
         self._size -= 1
-        # Prune now-empty branches.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            assert child is not None
-            if child.has_value or any(child.children):
-                break
-            parent.children[bit] = None
-        return value
+        if not bucket:
+            self._index_lengths()
+        return hit[1]
 
     def clear(self) -> None:
-        self._root = _Node()
+        self._buckets: list[dict[int, tuple[Prefix, V]]] = [
+            {} for _ in range(33)
+        ]
+        #: (length, mask, bucket) per populated length, longest first.
+        self._populated: tuple[tuple[int, int, dict], ...] = ()
         self._size = 0
+        self._view: Optional[tuple[tuple[Prefix, V], ...]] = None
+
+    def _index_lengths(self) -> None:
+        self._populated = tuple(
+            (length, _MASKS[length], self._buckets[length])
+            for length in range(32, -1, -1)
+            if self._buckets[length]
+        )
 
     # -- queries ---------------------------------------------------------
 
     def get(self, prefix: Prefix) -> Optional[V]:
         """The value stored at exactly ``prefix``, or None."""
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return None
-            node = child
-        return node.value if node.has_value else None
-
-    def _has_exact(self, prefix: Prefix) -> bool:
-        node = self._root
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                return False
-            node = child
-        return node.has_value
+        hit = self._buckets[prefix.length].get(prefix.network)
+        return hit[1] if hit is not None else None
 
     def longest_match(self, address: int) -> Optional[tuple[Prefix, V]]:
         """Longest-prefix match for ``address``."""
-        best: Optional[tuple[Prefix, V]] = None
-        node = self._root
-        depth = 0
-        if node.has_value:
-            best = (Prefix(0, 0), node.value)  # type: ignore[arg-type]
-        while depth < 32:
-            bit = (address >> (31 - depth)) & 1
-            child = node.children[bit]
-            if child is None:
-                break
-            node = child
-            depth += 1
-            if node.has_value:
-                matched = Prefix.containing(address, depth)
-                best = (matched, node.value)  # type: ignore[arg-type]
-        return best
+        for _, mask, bucket in self._populated:
+            hit = bucket.get(address & mask)
+            if hit is not None:
+                return hit
+        return None
 
     def covering(self, prefix: Prefix) -> Iterator[tuple[Prefix, V]]:
         """All entries whose prefix contains ``prefix``, shortest first."""
-        node = self._root
-        if node.has_value:
-            yield Prefix(0, 0), node.value  # type: ignore[misc]
-        depth = 0
-        for bit in _bits(prefix):
-            child = node.children[bit]
-            if child is None:
+        for length, mask, bucket in reversed(self._populated):
+            if length > prefix.length:
                 return
-            node = child
-            depth += 1
-            if node.has_value:
-                yield Prefix.containing(prefix.network, depth), node.value  # type: ignore[misc]
+            hit = bucket.get(prefix.network & mask)
+            if hit is not None:
+                yield hit
 
     def lpm_intervals(self) -> list[tuple[int, int, Optional[V]]]:
-        """Flatten the trie into LPM-effective address ranges.
+        """Flatten the table into LPM-effective address ranges.
 
         Returns ``(lo, hi, value)`` triples, sorted and covering the
         whole 32-bit space, where ``value`` is what
         :meth:`longest_match` would return for every address in
         ``[lo, hi]`` (``None`` where nothing matches). Adjacent ranges
-        with the same value are merged. One traversal compiles the trie
-        into a structure that answers every possible lookup — the basis
-        of the verifier's per-device compiled LPM index.
+        with the same value object are merged. One sweep compiles the
+        table into a structure that answers every possible lookup — the
+        basis of the verifier's per-device compiled LPM index.
         """
         out: list[tuple[int, int, Optional[V]]] = []
+        cursor = 0  # lowest address not yet emitted
 
-        def emit(lo: int, hi: int, value: Optional[V]) -> None:
-            if out and out[-1][2] is value and out[-1][1] + 1 == lo:
+        def emit(hi: int, value: Optional[V]) -> None:
+            nonlocal cursor
+            if out and out[-1][2] is value:
                 out[-1] = (out[-1][0], hi, value)
             else:
-                out.append((lo, hi, value))
+                out.append((cursor, hi, value))
+            cursor = hi + 1
 
-        # Iterative DFS; each frame covers [network, network + size - 1].
-        stack: list[tuple[_Node[V], int, int, Optional[V]]] = [
-            (self._root, 0, 0, None)
-        ]
-        while stack:
-            node, network, depth, inherited = stack.pop()
-            value = node.value if node.has_value else inherited
-            left, right = node.children
-            if (left is None and right is None) or depth >= 32:
-                emit(network, network + (1 << (32 - depth)) - 1, value)
-                continue
-            half = 1 << (32 - depth - 1)
-            # Push right first so ranges pop in ascending order.
-            if right is not None:
-                stack.append((right, network | half, depth + 1, value))
-            else:
-                stack.append(
-                    (_EMPTY_NODE, network | half, depth + 1, value)
-                )
-            if left is not None:
-                stack.append((left, network, depth + 1, value))
-            else:
-                stack.append((_EMPTY_NODE, network, depth + 1, value))
+        # Sweep in (network, length) order with a stack of the prefixes
+        # that enclose the cursor: (last address, value), innermost on top.
+        open_: list[tuple[int, Optional[V]]] = [(MAX_IPV4, None)]
+        for prefix, value in self._sorted():
+            lo = prefix.network
+            while open_[-1][0] < lo:
+                last, closed = open_.pop()
+                if cursor <= last:
+                    emit(last, closed)
+            if cursor < lo:
+                emit(lo - 1, open_[-1][1])
+            open_.append((prefix.last, value))
+        while open_:
+            last, closed = open_.pop()
+            if cursor <= last:
+                emit(last, closed)
         return out
 
     def items(self) -> Iterator[tuple[Prefix, V]]:
-        """All (prefix, value) pairs in lexicographic bit order."""
-        yield from self._walk(self._root, 0, 0)
+        """All (prefix, value) pairs in ``(network, length)`` order."""
+        return iter(self._sorted())
 
     def keys(self) -> Iterator[Prefix]:
-        for prefix, _ in self.items():
-            yield prefix
+        return (prefix for prefix, _ in self._sorted())
 
     def values(self) -> Iterator[V]:
-        for _, value in self.items():
-            yield value
+        return (value for _, value in self._sorted())
 
-    def _walk(
-        self, node: _Node[V], network: int, depth: int
-    ) -> Iterator[tuple[Prefix, V]]:
-        if node.has_value:
-            yield Prefix(network, depth), node.value  # type: ignore[misc]
-        if depth >= 32:
-            return
-        left, right = node.children
-        if left is not None:
-            yield from self._walk(left, network, depth + 1)
-        if right is not None:
-            yield from self._walk(right, network | (1 << (31 - depth)), depth + 1)
-
-
-def _bits(prefix: Prefix) -> Iterator[int]:
-    for i in range(prefix.length):
-        yield (prefix.network >> (31 - i)) & 1
+    def _sorted(self) -> tuple[tuple[Prefix, V], ...]:
+        view = self._view
+        if view is None:
+            # (network << 6 | length) is unique per entry, so the sort
+            # never falls through to comparing the pairs.
+            keyed = sorted(
+                ((network << 6) | length, pair)
+                for length, _, bucket in self._populated
+                for network, pair in bucket.items()
+            )
+            view = self._view = tuple(pair for _, pair in keyed)
+        return view

@@ -215,9 +215,7 @@ class RoutesQuestion(_Question):
             if self.nodes and name != self.nodes:
                 continue
             device = snap.dataplane.devices[name]
-            for prefix, entry in sorted(
-                device.trie.items(), key=lambda kv: (kv[0].network, kv[0].length)
-            ):
+            for prefix, entry in device.trie.items():
                 hops = "; ".join(
                     f"{format_ipv4(h.gateway) if h.gateway is not None else 'attached'}"
                     f" via {h.interface}"

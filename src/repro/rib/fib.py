@@ -79,20 +79,6 @@ class Fib:
         self._bump_global()
         return True
 
-    def replace_all(self, entries: list[FibEntry], now: float) -> bool:
-        """Atomically swap in a new table; returns True if it changed."""
-        new_map = {e.prefix: e for e in entries}
-        old_map = {p: e for p, e in self._trie.items()}
-        if new_map == old_map:
-            return False
-        self._trie.clear()
-        for entry in entries:
-            self._trie.insert(entry.prefix, entry)
-        self.version += 1
-        self.last_change_time = now
-        self._bump_global()
-        return True
-
     def lookup(self, address: int) -> Optional[FibEntry]:
         match = self._trie.longest_match(address)
         return match[1] if match else None

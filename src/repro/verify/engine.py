@@ -1,9 +1,9 @@
 """The atom-graph verification engine.
 
 The scalar :class:`~repro.dataplane.forwarding.ForwardingWalk` answers
-one (ingress, destination) pair per call, re-running a trie LPM lookup
-at every hop — O(ingresses × atoms × pathlen × 32) for an exhaustive
-query. This engine exploits the defining property of a destination atom
+one (ingress, destination) pair per call, re-running an LPM lookup
+(a hash probe per populated prefix length) at every hop —
+O(ingresses × atoms × pathlen × lengths) for an exhaustive query. This engine exploits the defining property of a destination atom
 (every device's LPM decision is constant inside it) to do the whole
 job in one pass per atom:
 
@@ -403,7 +403,7 @@ class AtomGraphEngine:
 
         # (b) Dirty atoms: where any touched device's decision changed.
         # A FIB diff can only move a device's governing entry *inside
-        # the diffed prefixes' own ranges* — everywhere else both tries
+        # the diffed prefixes' own ranges* — everywhere else both tables
         # agree on the winning entry — and a moved interface can only
         # change how an entry resolves where the governing entry's hops
         # leave through it, or inside the interface's own prefixes

@@ -2,8 +2,8 @@
 
 The verification engine's exhaustiveness rests entirely on this algebra
 being correct, so it gets adversarial random testing: interval-set laws,
-trie-vs-bruteforce LPM, CIDR decomposition, atom partitioning, and
-header-space set laws.
+the LPM table against a linear-scan oracle, CIDR decomposition, atom
+partitioning, and header-space set laws.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -108,7 +108,255 @@ class TestAtoms:
                 assert overlap.is_empty() or overlap == piece
 
 
+@st.composite
+def nested_prefixes(draw):
+    """Prefixes that collide and nest: only 4 high and 2 low bits vary."""
+    length = draw(st.integers(0, 32))
+    address = (draw(st.integers(0, 15)) << 28) | draw(st.integers(0, 3))
+    return Prefix.containing(address, length)
+
+
+#: Stored values include every falsy shape a caller could store, and two
+#: equal-but-distinct objects (lpm_intervals merges on identity only).
+TABLE_VALUES = [None, 0, "", "a", "b", ["same"], ["same"]]
+
+
+def linear_lpm(table: dict, address: int):
+    """The oracle: scan every entry, keep the longest that contains."""
+    best = None
+    for prefix, value in table.items():
+        if prefix.contains(address) and (
+            best is None or prefix.length > best[0].length
+        ):
+            best = (prefix, value)
+    return best
+
+
+def probe_addresses(table: dict) -> list[int]:
+    """Both edges of every prefix, and the addresses just outside."""
+    out = {0, MAX_IPV4}
+    for prefix in table:
+        for address in (prefix.first - 1, prefix.first, prefix.last,
+                        prefix.last + 1):
+            if 0 <= address <= MAX_IPV4:
+                out.add(address)
+    return sorted(out)
+
+
+def assert_table_equals(trie: PrefixTrie, table: dict, seen) -> None:
+    assert len(trie) == len(table)
+    assert bool(trie) == bool(table)
+    expected = sorted(
+        table.items(), key=lambda kv: (kv[0].network, kv[0].length)
+    )
+    items = list(trie.items())
+    assert [p for p, _ in items] == [p for p, _ in expected]
+    assert all(got is want for (_, got), (_, want) in zip(items, expected))
+    assert list(trie.keys()) == [p for p, _ in expected]
+    assert all(
+        got is want
+        for got, (_, want) in zip(trie.values(), expected, strict=True)
+    )
+    for prefix in seen:
+        assert (prefix in trie) == (prefix in table)
+        assert trie.get(prefix) is table.get(prefix)
+        covering = list(trie.covering(prefix))
+        assert [p for p, _ in covering] == sorted(
+            (p for p in table if p.contains_prefix(prefix)),
+            key=lambda p: p.length,
+        )
+        assert all(value is table[p] for p, value in covering)
+    for address in probe_addresses(table):
+        got, want = trie.longest_match(address), linear_lpm(table, address)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0] and got[1] is want[1]
+
+
+def brute_force_intervals(table: dict) -> list:
+    """LPM by linear scan at every boundary, merged on identity."""
+    starts = {0}
+    for prefix in table:
+        starts.add(prefix.first)
+        if prefix.last < MAX_IPV4:
+            starts.add(prefix.last + 1)
+    ordered = sorted(starts)
+    out: list = []
+    for lo, nxt in zip(ordered, ordered[1:] + [MAX_IPV4 + 1]):
+        match = linear_lpm(table, lo)
+        value = match[1] if match is not None else None
+        if out and out[-1][2] is value:
+            out[-1] = (out[-1][0], nxt - 1, value)
+        else:
+            out.append((lo, nxt - 1, value))
+    return out
+
+
+def assert_same_intervals(got: list, want: list) -> None:
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    assert all(a[2] is b[2] for a, b in zip(got, want))
+
+
 class TestTrieVsBruteForce:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "insert", "remove"]),
+                st.one_of(nested_prefixes(), prefixes()),
+                st.sampled_from(TABLE_VALUES),
+            ),
+            max_size=30,
+        )
+    )
+    def test_script_matches_linear_scan(self, script):
+        """Interleaved insert / replace / remove against a dict oracle.
+
+        The comparison iterates the table after every step, so each
+        mutation lands on a table whose sorted view is already cached.
+        """
+        trie = PrefixTrie()
+        table: dict = {}
+        seen = []
+        for op, prefix, value in script:
+            seen.append(prefix)
+            if op == "insert":
+                trie.insert(prefix, value)
+                table[prefix] = value
+            else:
+                assert trie.remove(prefix) is table.pop(prefix, None)
+            assert_table_equals(trie, table, seen)
+            assert_same_intervals(
+                trie.lpm_intervals(), brute_force_intervals(table)
+            )
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(nested_prefixes(), prefixes()),
+                st.sampled_from(TABLE_VALUES),
+            ),
+            max_size=25,
+        )
+    )
+    def test_lpm_intervals_tile_the_space(self, entries):
+        trie = PrefixTrie()
+        table = {}
+        for prefix, value in entries:
+            trie.insert(prefix, value)
+            table[prefix] = value
+        ranges = trie.lpm_intervals()
+        assert ranges[0][0] == 0 and ranges[-1][1] == MAX_IPV4
+        for (lo, hi, value), nxt in zip(ranges, ranges[1:] + [None]):
+            assert lo <= hi
+            for address in (lo, hi):
+                match = linear_lpm(table, address)
+                assert value is (match[1] if match is not None else None)
+            if nxt is not None:
+                assert nxt[0] == hi + 1
+                assert nxt[2] is not value  # maximal merge
+        assert_same_intervals(ranges, brute_force_intervals(table))
+
+    def test_intervals_merge_on_identity_not_equality(self):
+        low, high = Prefix.parse("0.0.0.0/1"), Prefix.parse("128.0.0.0/1")
+        shared = ["v"]
+        trie = PrefixTrie()
+        trie.insert(low, shared)
+        trie.insert(high, shared)
+        assert trie.lpm_intervals() == [(0, MAX_IPV4, shared)]
+        trie.insert(high, ["v"])  # equal, but another object
+        assert [r[:2] for r in trie.lpm_intervals()] == [
+            (0, low.last), (high.first, MAX_IPV4)
+        ]
+
+    def test_empty_table_is_one_unmatched_range(self):
+        assert PrefixTrie().lpm_intervals() == [(0, MAX_IPV4, None)]
+
+    def test_contains_sees_falsy_values(self):
+        trie = PrefixTrie()
+        stored = {
+            Prefix.parse("10.0.0.0/8"): None,
+            Prefix.parse("10.0.0.0/9"): 0,
+            Prefix.parse("0.0.0.0/0"): "",
+        }
+        for prefix, value in stored.items():
+            trie.insert(prefix, value)
+        assert all(prefix in trie for prefix in stored)
+        assert Prefix.parse("10.0.0.0/10") not in trie
+        assert Prefix.parse("11.0.0.0/8") not in trie
+        assert len(trie) == 3
+
+    def test_bucket_emptied_then_refilled(self):
+        only24 = Prefix.parse("10.1.2.0/24")
+        address = only24.first + 7
+        trie = PrefixTrie()
+        trie.insert(Prefix.parse("10.0.0.0/8"), "eight")
+        trie.insert(only24, "first")
+        assert trie.longest_match(address) == (only24, "first")
+        assert trie.remove(only24) == "first"
+        assert trie.longest_match(address)[1] == "eight"
+        assert [v for _, v in trie.covering(only24)] == ["eight"]
+        trie.insert(only24, "second")
+        assert trie.longest_match(address) == (only24, "second")
+        assert [v for _, v in trie.covering(only24)] == ["eight", "second"]
+        assert len(trie) == 2
+
+    def test_default_and_host_routes(self):
+        default, host = Prefix.parse("0.0.0.0/0"), Prefix.parse("9.9.9.9/32")
+        trie = PrefixTrie()
+        trie.insert(default, "default")
+        trie.insert(host, "host")
+        assert trie.longest_match(host.network) == (host, "host")
+        assert trie.longest_match(host.network + 1) == (default, "default")
+        assert trie.longest_match(0)[1] == trie.longest_match(MAX_IPV4)[1]
+        assert list(trie.covering(host)) == [(default, "default"), (host, "host")]
+        assert trie.lpm_intervals() == [
+            (0, host.network - 1, "default"),
+            (host.network, host.network, "host"),
+            (host.network + 1, MAX_IPV4, "default"),
+        ]
+
+    def test_all_33_lengths_populated(self):
+        address = 0xAAAAAAAA
+        chain = [Prefix.containing(address, n) for n in range(33)]
+        trie = PrefixTrie()
+        for prefix in reversed(chain):
+            trie.insert(prefix, prefix.length)
+        assert len(trie) == 33
+        assert list(trie.keys()) == chain
+        assert list(trie.covering(chain[-1])) == [(p, p.length) for p in chain]
+        assert trie.longest_match(address) == (chain[32], 32)
+        # Flipping bit n (from the top) leaves exactly the /n matching.
+        for n in range(32):
+            assert trie.longest_match(address ^ (1 << (31 - n)))[1] == n
+        for prefix in chain[1::2]:
+            trie.remove(prefix)
+        assert trie.longest_match(address) == (chain[32], 32)
+        assert trie.longest_match(address ^ 1)[1] == 30
+        assert_same_intervals(
+            trie.lpm_intervals(),
+            brute_force_intervals({p: p.length for p in chain[0::2]}),
+        )
+
+    def test_view_refreshed_by_mutation_after_iteration(self):
+        a, b = Prefix.parse("10.0.0.0/8"), Prefix.parse("9.0.0.0/8")
+        trie = PrefixTrie()
+        trie.insert(a, "a")
+        held = trie.items()
+        assert list(trie.items()) == [(a, "a")]
+        trie.insert(b, "b")
+        assert list(trie.items()) == [(b, "b"), (a, "a")]
+        trie.insert(a, "A")  # replace keeps the size, still invalidates
+        assert list(trie.values()) == ["b", "A"]
+        trie.remove(b)
+        assert list(trie.keys()) == [a]
+        trie.clear()
+        assert list(trie.items()) == [] and len(trie) == 0
+        # An iterator taken before the mutations still walks the view it
+        # was handed: views are replaced, never edited in place.
+        assert list(held) == [(a, "a")]
+
     @settings(max_examples=50)
     @given(
         st.lists(st.tuples(prefixes(), st.integers()), max_size=20),
@@ -121,13 +369,7 @@ class TestTrieVsBruteForce:
             trie.insert(prefix, value)
             table[prefix] = value
         for address in queries:
-            expected = None
-            best_len = -1
-            for prefix, value in table.items():
-                if prefix.contains(address) and prefix.length > best_len:
-                    best_len = prefix.length
-                    expected = (prefix, value)
-            assert trie.longest_match(address) == expected
+            assert trie.longest_match(address) == linear_lpm(table, address)
 
     @settings(max_examples=50)
     @given(st.lists(st.tuples(prefixes(), st.integers()), max_size=20))
