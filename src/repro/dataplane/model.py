@@ -97,6 +97,20 @@ class DeviceForwarding:
                 ),
             )
 
+    @classmethod
+    def of(cls, snapshot: AftSnapshot) -> "DeviceForwarding":
+        """The forwarding view of ``snapshot``, parsed at most once.
+
+        Snapshots are immutable once extracted and extraction returns
+        the same object for an unchanged router, so every dataplane
+        built from that object shares one device — with its table,
+        content signature and compiled index.
+        """
+        device = snapshot._forwarding
+        if device is None:
+            device = snapshot._forwarding = cls(snapshot)
+        return device
+
     def lookup(self, address: int) -> Optional[ForwardingEntry]:
         if bus.ACTIVE.enabled:
             bus.ACTIVE.count("verify.lpm_lookups")
@@ -257,7 +271,7 @@ class Dataplane:
         degraded_addresses: Optional[dict[str, list[str]]] = None,
     ) -> None:
         self.devices: dict[str, DeviceForwarding] = {
-            name: DeviceForwarding(snap) for name, snap in snapshots.items()
+            name: DeviceForwarding.of(snap) for name, snap in snapshots.items()
         }
         self.address_owner: dict[int, str] = {}
         for name, device in self.devices.items():
@@ -318,7 +332,7 @@ class Dataplane:
         plane = cls.__new__(cls)
         plane.devices = dict(base.devices)
         for name, snap in snapshots.items():
-            plane.devices[name] = DeviceForwarding(snap)
+            plane.devices[name] = DeviceForwarding.of(snap)
         plane.address_owner = {}
         for name, device in plane.devices.items():
             for address in device.local_addresses:

@@ -16,9 +16,16 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from repro.gnmi.aft import AftSnapshot
+from repro.gnmi.aft import (
+    AftSnapshot,
+    acls_from_dict,
+    acls_to_dict,
+    interfaces_from_dict,
+    interfaces_to_dict,
+    router_acls,
+    router_interfaces,
+)
 from repro.gnmi.paths import GnmiPath, parse_path
-from repro.net.addr import format_ipv4
 from repro.obs import bus
 
 if TYPE_CHECKING:
@@ -96,7 +103,25 @@ class GnmiServer:
         }
 
     def get(self, path: Union[str, GnmiPath]) -> dict:
-        """Serve a gNMI Get for ``path``."""
+        """Serve a gNMI Get for ``path``.
+
+        Each path reads only the state it reports: ``/interfaces`` and
+        ``/acls`` never touch the FIB, and the afts path walks it at
+        most once per FIB version (:meth:`AftSnapshot.from_router`).
+        """
+        path = self._admit(path)
+        if path.starts_with("network-instances"):
+            return self._get_afts(path)[0]
+        if path.starts_with("interfaces"):
+            return self._get_interfaces(path)
+        if path.starts_with("system"):
+            return {"system": {"state": {"hostname": self.router.name}}}
+        if path.starts_with("acls"):
+            return {"acls": acls_to_dict(router_acls(self.router))}
+        raise GnmiError(f"unsupported path: {path}")
+
+    def _admit(self, path: Union[str, GnmiPath]) -> GnmiPath:
+        """What every Get does first: target up, no injected RPC flake."""
         if self.router.state.value != "running":
             raise GnmiUnavailableError(
                 f"{self.router.name}: target unavailable (booting)"
@@ -105,17 +130,7 @@ class GnmiServer:
         if injector is not None:
             # May raise GnmiUnavailableError (an injected RPC flake).
             injector.before_gnmi_get(self.router.name, str(path))
-        if isinstance(path, str):
-            path = parse_path(path)
-        if path.starts_with("network-instances"):
-            return self._get_afts(path)
-        if path.starts_with("interfaces"):
-            return self._get_interfaces(path)
-        if path.starts_with("system"):
-            return {"system": {"state": {"hostname": self.router.name}}}
-        if path.starts_with("acls"):
-            return {"acls": self._snapshot().to_dict()["acls"]}
-        raise GnmiError(f"unsupported path: {path}")
+        return parse_path(path) if isinstance(path, str) else path
 
     def subscribe(self, path: Union[str, GnmiPath], callback) -> "Subscription":
         """gNMI Subscribe, ON_CHANGE mode: ``callback(update_dict)``
@@ -125,32 +140,47 @@ class GnmiServer:
             path = parse_path(path)
         return Subscription(self, path, callback)
 
-    def _snapshot(self) -> AftSnapshot:
-        return AftSnapshot.from_router(self.router, now=self.router.kernel.now)
+    def _get_afts(self, path: GnmiPath) -> tuple[dict, Optional[AftSnapshot]]:
+        """The afts response, and the snapshot it encodes.
 
-    def _get_afts(self, path: GnmiPath) -> dict:
+        The snapshot is None when a fault served something else (a
+        stale or truncated dump): only an untouched response may stand
+        in for its source in :func:`_extract_one`.
+        """
         if len(path) >= 2:
             instance = path.elements[1]
             if instance.keys and instance.key("name") != "default":
                 raise GnmiError(f"unknown network instance in {path}")
-        full = self._snapshot().to_dict()
+        snapshot = AftSnapshot.from_router(
+            self.router, now=self.router.kernel.now
+        )
+        response = served = {
+            "network-instances": snapshot.network_instances_to_dict(),
+            "meta": snapshot.meta_to_dict(),
+        }
         injector = getattr(self.router, "fault_injector", None)
         if injector is not None:
             # Stale or truncated AFT responses, keyed off the FIB
             # version counter carried in ``meta`` so the extraction
             # staleness re-check can catch them.
-            full = injector.transform_aft(self.router.name, full)
-        return {"network-instances": full["network-instances"], "meta": full["meta"]}
+            served = injector.transform_aft(self.router.name, response)
+        if served is response:
+            return response, snapshot
+        return {
+            "network-instances": served["network-instances"],
+            "meta": served["meta"],
+        }, None
 
     def _get_interfaces(self, path: GnmiPath) -> dict:
-        full = self._snapshot().to_dict()
-        interfaces = full["interfaces"]["interface"]
+        interfaces = interfaces_to_dict(router_interfaces(self.router))
         if len(path) >= 2 and path.elements[1].keys:
             wanted = path.elements[1].key("name")
-            interfaces = [i for i in interfaces if i["name"] == wanted]
-            if not interfaces:
+            interfaces["interface"] = [
+                i for i in interfaces["interface"] if i["name"] == wanted
+            ]
+            if not interfaces["interface"]:
                 raise GnmiError(f"no such interface: {wanted}")
-        return {"interfaces": {"interface": interfaces}}
+        return {"interfaces": interfaces}
 
 
 class Subscription:
@@ -179,6 +209,7 @@ class Subscription:
 
     def cancel(self) -> None:
         self._active = False
+        self._server.router.remove_fib_change(self._on_change)
 
 
 @dataclass
@@ -214,23 +245,45 @@ def _configured_addresses(router) -> list[str]:
     even for a node whose forwarding state could not be extracted —
     exactly what the degraded-node manifest needs.
     """
-    addresses = []
-    for name in sorted(router.ports):
-        config = router.ports[name].config
-        if config.is_routed and config.address is not None:
-            addresses.append(format_ipv4(config.address))
-    return addresses
+    return [
+        interface.ipv4_address
+        for interface in router_interfaces(router)
+        if interface.ipv4_address is not None
+    ]
+
+
+_AFTS_PATH = "/network-instances/network-instance[name=default]/afts"
 
 
 def _extract_one(router) -> AftSnapshot:
+    """One device's three Gets, decoded into a snapshot.
+
+    A new FIB version always takes the whole wire round trip. When the
+    decoded form equals the router's memoised snapshot — every clean
+    response does — that object is handed out instead, and for as long
+    as later responses still encode it unchanged they are not decoded
+    again. Callers therefore get one snapshot object per FIB version,
+    and one dataplane device built from it.
+    """
     server = GnmiServer(router)
-    data = server.get("/network-instances/network-instance[name=default]/afts")
-    interfaces = server.get("/interfaces")
-    acls = server.get("/acls")
-    merged = dict(data)
-    merged["interfaces"] = interfaces["interfaces"]
-    merged["acls"] = acls["acls"]
-    return AftSnapshot.from_dict(merged)
+    data, source = server._get_afts(server._admit(_AFTS_PATH))
+    interfaces = server.get("/interfaces")["interfaces"]
+    acls = server.get("/acls")["acls"]
+    memo = router.aft_memo
+    if (
+        source is not None
+        and memo.round_tripped
+        and source.interfaces == interfaces_from_dict(interfaces)
+        and source.acls == acls_from_dict(acls)
+    ):
+        return source
+    snapshot = AftSnapshot.from_dict(
+        {**data, "interfaces": interfaces, "acls": acls}
+    )
+    if snapshot == source:
+        memo.round_tripped = True
+        return source
+    return snapshot
 
 
 def extract_afts(

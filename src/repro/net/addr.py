@@ -8,13 +8,10 @@ into the interval algebra in :mod:`repro.net.intervals`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 
 MAX_IPV4 = 0xFFFFFFFF
-
-_IPV4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
 
 
 class AddressError(ValueError):
@@ -24,19 +21,28 @@ class AddressError(ValueError):
 def parse_ipv4(text: str) -> int:
     """Parse dotted-quad ``text`` into a 32-bit integer.
 
+    Surrounding whitespace is ignored; each octet is one to three
+    decimal digits (leading zeros allowed, any Unicode decimal digit
+    accepted, as ``int`` reads them) and at most 255.
+
     >>> parse_ipv4("10.0.0.1")
     167772161
     """
-    match = _IPV4_RE.match(text.strip())
-    if match is None:
+    try:
+        a, b, c, d = text.strip().split(".")
+    except ValueError:
+        raise AddressError(f"malformed IPv4 address: {text!r}") from None
+    # isdecimal() is false for "", signs, "_" and every other character
+    # int() would otherwise let through.
+    if not (
+        a.isdecimal() and b.isdecimal() and c.isdecimal() and d.isdecimal()
+        and len(a) <= 3 and len(b) <= 3 and len(c) <= 3 and len(d) <= 3
+    ):
         raise AddressError(f"malformed IPv4 address: {text!r}")
-    value = 0
-    for part in match.groups():
-        octet = int(part)
-        if octet > 255:
-            raise AddressError(f"octet out of range in {text!r}")
-        value = (value << 8) | octet
-    return value
+    a, b, c, d = int(a), int(b), int(c), int(d)
+    if a > 255 or b > 255 or c > 255 or d > 255:
+        raise AddressError(f"octet out of range in {text!r}")
+    return (a << 24) | (b << 16) | (c << 8) | d
 
 
 def format_ipv4(value: int) -> str:
@@ -47,7 +53,9 @@ def format_ipv4(value: int) -> str:
     """
     if not 0 <= value <= MAX_IPV4:
         raise AddressError(f"IPv4 value out of range: {value}")
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    return "%d.%d.%d.%d" % (
+        value >> 24, (value >> 16) & 0xFF, (value >> 8) & 0xFF, value & 0xFF
+    )
 
 
 @lru_cache(maxsize=None)

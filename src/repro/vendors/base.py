@@ -85,6 +85,9 @@ class RouterOS:
         self._last_fib_version = 0
         self._boot_listeners: list[Callable[[], None]] = []
         self._fib_listeners: list[Callable[[int], None]] = []
+        # The last AFT snapshot walked from this router's FIB; owned by
+        # ``repro.gnmi.aft`` (see ``AftMemo``).
+        self.aft_memo = None
 
     # -- subclass interface ---------------------------------------------------
 

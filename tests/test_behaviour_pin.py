@@ -7,11 +7,17 @@ on the commit before the hash-bucket table replaced the bit trie, and
 must never move for a change that claims to be a pure representation
 swap. The pickle round trip is what the service journal's snapshot
 manifest does to a ``Snapshot`` whose dataplane is already built.
+
+The warm path has its own pin: a what-if campaign's verdict rows and
+temporal counts, computed on the commit before extraction started
+reusing snapshots per FIB version. None of the digests may depend on
+``PYTHONHASHSEED`` (CI runs this file under two).
 """
 
 import hashlib
 import json
 import pickle
+from itertools import islice
 
 import pytest
 
@@ -20,6 +26,7 @@ from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.net.addr import MAX_IPV4
 from repro.protocols.timers import FAST_TIMERS
+from repro.whatif import WhatIfCampaign, link_flap_scenarios, single_link_failures
 
 SEED = 3
 
@@ -68,6 +75,44 @@ class TestGoldenDigest:
             scenario.topology, context, scaled_timers(60), 30.0
         )
         assert (snapshot_digest(snapshot), events) == GOLDEN["production"]
+
+
+class TestWarmCampaignGolden:
+    #: sha256 of the campaign report; temporal checkpoints and intervals.
+    GOLDEN = (
+        "15f6c3363763f87940cfd6e32adbc38f5059096dd860ffbc039860a6c1405150",
+        11,
+        45,
+    )
+
+    def test_production_cuts_and_flap(self):
+        scenario = production_scenario(6, peers=1, routes_per_peer=60)
+        topology = scenario.topology
+        campaign = WhatIfCampaign(
+            topology,
+            [
+                *islice(single_link_failures(topology), 2),
+                *islice(link_flap_scenarios(topology, hold_seconds=30.0), 1),
+            ],
+            context=ScenarioContext(
+                name="prod", injectors=tuple(scenario.injectors)
+            ),
+            timers=scaled_timers(60),
+            quiet_period=30.0,
+            seed=SEED,
+            temporal=True,
+        )
+        report = campaign.run()
+        data = report.to_dict()
+        for row in data["scenarios"]:
+            # hash()-based, so it differs from process to process.
+            del row["fib_fingerprint"]
+        digest = hashlib.sha256(
+            json.dumps(data, sort_keys=True).encode()
+        ).hexdigest()
+        checkpoints = sum(v.temporal_checkpoints for v in report.verdicts)
+        intervals = sum(v.temporal_violations for v in report.verdicts)
+        assert (digest, checkpoints, intervals) == self.GOLDEN
 
 
 class TestSnapshotPickleRoundTrip:

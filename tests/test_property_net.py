@@ -6,9 +6,18 @@ the LPM table against a linear-scan oracle, CIDR decomposition, atom
 partitioning, and header-space set laws.
 """
 
-from hypothesis import given, settings, strategies as st
+import re
 
-from repro.net.addr import MAX_IPV4, Prefix
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.net.addr import (
+    MAX_IPV4,
+    AddressError,
+    Prefix,
+    format_ipv4,
+    parse_ipv4,
+)
 from repro.net.headerspace import HeaderSpace, Rect
 from repro.net.intervals import Interval, IntervalSet, atoms
 from repro.net.trie import PrefixTrie
@@ -421,3 +430,92 @@ class TestHeaderSpaceLaws:
         packet = a.sample()
         if packet is not None:
             assert a.contains_packet(packet)
+
+
+# -- dotted-quad codec vs the regex implementation it replaced -------------------
+
+_IPV4_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+
+
+def parse_ipv4_oracle(text: str) -> int:
+    """``parse_ipv4`` as it was before it lost its regex."""
+    match = _IPV4_RE.match(text.strip())
+    if match is None:
+        raise AddressError(f"malformed IPv4 address: {text!r}")
+    value = 0
+    for part in match.groups():
+        octet = int(part)
+        if octet > 255:
+            raise AddressError(f"octet out of range in {text!r}")
+        value = (value << 8) | octet
+    return value
+
+
+def format_ipv4_oracle(value: int) -> str:
+    if not 0 <= value <= MAX_IPV4:
+        raise AddressError(f"IPv4 value out of range: {value}")
+    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+
+
+def outcome(function, argument):
+    """``(None, value)``, or the error's type and message."""
+    try:
+        return None, function(argument)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Digits in three scripts, a superscript and a fraction (isdigit/isnumeric
+# but not decimal), signs, the separators int() tolerates, and whitespace
+# strip() does and does not remove.
+_QUAD_ALPHABET = "0123456789.٣৭２²½+-_ \t\n\x0b\x1c\u00a0\u200b/xe"
+_octets = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, 255).map(lambda n: str(n).zfill(3)),
+    st.text(_QUAD_ALPHABET, max_size=4),
+)
+_quads = st.one_of(
+    st.lists(_octets, min_size=3, max_size=5).map(".".join),
+    st.text(_QUAD_ALPHABET, max_size=20),
+    st.text(max_size=12),
+)
+_padding = st.text(" \t\n\r\x0b\x0c\u00a0\u2003", max_size=2)
+
+
+class TestDottedQuadCodec:
+    @given(_padding, _quads, _padding)
+    @example("", "1.2.3.4", "\n")
+    @example("", "001.002.003.004", "")
+    @example("", "0001.2.3.4", "")
+    @example("", "256.1.1.1", "")
+    @example("", "999.x.1.1", "")
+    @example("", "+1.2.3.4", "")
+    @example("", "1_0.2.3.4", "")
+    @example("", "١٢٣.٤.٥.٦", "")
+    @example("", "1.2.3.²", "")
+    @example("", "1.2.3", "")
+    @example("", "1.2.3.4.", "")
+    @example("", "1.2.3\n.4", "")
+    @settings(max_examples=500)
+    def test_parse_accepts_rejects_and_reports_like_the_regex(
+        self, left, body, right
+    ):
+        text = left + body + right
+        assert outcome(parse_ipv4, text) == outcome(parse_ipv4_oracle, text)
+
+    @given(st.integers(-(2**33), 2**33))
+    @example(0)
+    @example(MAX_IPV4)
+    @example(-1)
+    @example(MAX_IPV4 + 1)
+    def test_format_matches_and_round_trips(self, value):
+        assert outcome(format_ipv4, value) == outcome(format_ipv4_oracle, value)
+        if 0 <= value <= MAX_IPV4:
+            assert parse_ipv4(format_ipv4(value)) == value
+
+    @pytest.mark.parametrize("bad", [None, 7, b"1.2.3.4", 1.5])
+    def test_non_text_raises_the_same_type(self, bad):
+        assert outcome(parse_ipv4, bad)[0] is outcome(parse_ipv4_oracle, bad)[0]
+        assert (
+            outcome(format_ipv4, bad)[0] is outcome(format_ipv4_oracle, bad)[0]
+        )

@@ -221,6 +221,38 @@ class TestFlapCampaign:
             assert verdict.revert_seconds == 0.0
 
 
+class TestExtractionWork:
+    def test_one_fib_walk_per_router_version(self, monkeypatch):
+        """The wall-time-free tripwire for the warm path's extraction
+        cost: arm, capture, extract and revert all read the routers, and
+        together they may walk each FIB once per version it went through."""
+        from repro.gnmi.aft import AftSnapshot
+        from repro.obs import tracing
+
+        seen = []  # (router, version) at every read; routers kept alive
+        walk = AftSnapshot.from_router.__func__
+
+        def spy(cls, router, now=0.0):
+            seen.append((router, router.rib.fib.version))
+            return walk(cls, router, now)
+
+        monkeypatch.setattr(AftSnapshot, "from_router", classmethod(spy))
+        topology = build_ring()
+        scenarios = [
+            next(iter(single_link_failures(topology))),
+            next(iter(link_flap_scenarios(topology, hold_seconds=10.0))),
+        ]
+        with tracing() as tracer:
+            report = ring_campaign(scenarios, temporal=True).run()
+        assert [v.reverted_clean for v in report.verdicts] == [True, True]
+        assert report.cold_resets == 0
+        distinct = len(set(seen))
+        assert tracer.counters["gnmi.fib_walks"] == distinct
+        assert tracer.counters["gnmi.memo_hits"] == len(seen) - distinct
+        # Arm, extract and revert re-read routers nothing has touched.
+        assert len(seen) > distinct
+
+
 class TestNodeCampaign:
     def test_node_kill_surfaces_damage_and_reverts(self):
         topology = build_ring()
