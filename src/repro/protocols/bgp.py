@@ -10,8 +10,27 @@ Fidelity notes (deliberate scope):
 
 * grouped UPDATEs with MRAI-style batching (full-table injections stay
   affordable: one attributes object shared across thousands of prefixes);
+* a per-session Adj-RIB-Out (RFC 4271 §3.2), so a speaker sends only
+  what changes its peer's view. :attr:`Session.adj_rib_out` maps each
+  prefix to the interned attributes *actually put on the wire* to this
+  peer in this session incarnation. Recorded: every chunk of an UPDATE
+  for which the transport accepted the datagram, when it is sent (a
+  chunk dropped at the source for lack of a route is not, so a later
+  identical announcement still goes out and heals it). Cleared: whenever
+  the session leaves ESTABLISHED, so re-establishment re-sends the full
+  table. Suppressed at ``enqueue``: a withdrawal of a prefix neither
+  advertised nor pending, and an announcement identical (same interned
+  object) to the recorded one; either also cancels the not-yet-flushed
+  change for that prefix, so announce-then-withdraw inside one MRAI
+  window sends nothing. The converged forwarding state does not depend
+  on the suppressed traffic; event counts and simulated times do;
 * hold/keepalive timers and connect retry, so link cuts and session
-  shutdowns propagate with realistic detection latency;
+  shutdowns propagate with realistic detection latency. Known and left
+  alone: control messages queued behind a serialized UPDATE can reach
+  the *next* incarnation of a session, which answers with an
+  ``fsm-error`` NOTIFICATION, so a cold full mesh goes through a storm
+  of session resets during bring-up (seed-dependent in length) before
+  it settles;
 * vendor quirk hooks for the two §2 anecdotes — the iBGP IGP-metric
   regression and the crash-on-unusual-advertisement interop bug.
 """
@@ -131,6 +150,9 @@ class Session:
         self._hold_event: Any = None
         self._connect_event: Any = None
         self._pending: dict[Prefix, Optional[PathAttributes]] = {}
+        # Adj-RIB-Out: what this session incarnation put on the wire,
+        # prefix -> interned attrs (see the module fidelity notes).
+        self.adj_rib_out: dict[Prefix, PathAttributes] = {}
         self._flush_scheduled = False
         self._stopped = False
 
@@ -313,6 +335,7 @@ class Session:
             self._hold_event.cancel()
             self._hold_event = None
         self._pending.clear()
+        self.adj_rib_out.clear()
         self._flush_scheduled = False
         if reset_stats:
             self.stats = SessionStats()
@@ -320,8 +343,17 @@ class Session:
     # -- sending ---------------------------------------------------------------
 
     def enqueue(self, prefix: Prefix, attrs: Optional[PathAttributes]) -> None:
-        """Queue an announcement (or withdrawal when attrs is None)."""
+        """Queue an announcement (or withdrawal when attrs is None).
+
+        A change that leaves the peer's view as it is — a withdrawal of
+        a prefix it was never sent, an announcement of the very attrs it
+        holds (interned, so identity is equality) — is dropped, and
+        takes the unsent pending change for that prefix with it.
+        """
         if self.state is not SessionState.ESTABLISHED:
+            return
+        if self.adj_rib_out.get(prefix) is attrs:
+            self._pending.pop(prefix, None)
             return
         self._pending[prefix] = attrs
         if not self._flush_scheduled:
@@ -349,6 +381,10 @@ class Session:
         rate = self.instance.timers.bgp_update_rate
         chunk = max_routes_per_update(self.instance.timers)
         collector = bus.ACTIVE
+        # A chunk enters the Adj-RIB-Out only once it is on the wire: one
+        # dropped at the source (no route to the peer right now) must
+        # stay re-sendable by a later identical announcement.
+        adj_rib_out = self.adj_rib_out
         if withdraw:
             for offset in range(0, len(withdraw), chunk):
                 piece = tuple(withdraw[offset : offset + chunk])
@@ -356,9 +392,11 @@ class Session:
                 if collector.enabled:
                     collector.count("bgp.update.sent")
                     collector.count("bgp.prefixes.sent", len(piece))
-                self.instance.send_to(
+                if self.instance.send_to(
                     self, Update(withdraw=piece, wire_cost=len(piece) / rate)
-                )
+                ):
+                    for prefix in piece:
+                        adj_rib_out.pop(prefix, None)
         for attrs, prefixes in by_attrs.items():
             for offset in range(0, len(prefixes), chunk):
                 piece = tuple(prefixes[offset : offset + chunk])
@@ -366,13 +404,14 @@ class Session:
                 if collector.enabled:
                     collector.count("bgp.update.sent")
                     collector.count("bgp.prefixes.sent", len(piece))
-                self.instance.send_to(
+                if self.instance.send_to(
                     self,
                     Update(
                         announce=((attrs, piece),),
                         wire_cost=len(piece) / rate,
                     ),
-                )
+                ):
+                    adj_rib_out.update(dict.fromkeys(piece, attrs))
 
     def __str__(self) -> str:
         return f"{self.instance.host.name}->{format_ipv4(self.peer_ip)}"
@@ -524,9 +563,15 @@ class BgpInstance:
                 rib_in[prefix] = final_attrs
                 touched.add(prefix)
             session.stats.prefixes_received += len(imported)
+        unknown = 0
         for prefix in update.withdraw:
             if rib_in.pop(prefix, None) is not None:
                 touched.add(prefix)
+            else:
+                unknown += 1
+        if unknown and collector.enabled:
+            # The sender's Adj-RIB-Out should make this impossible.
+            collector.count("bgp.prefixes.withdrawn_unknown", unknown)
         if touched:
             self._decide(touched)
 

@@ -40,6 +40,13 @@ class MiniNet:
                 channel.set_down()
             self.routers[node].ports[port].set_link_state(False)
 
+    def link_up(self, a: str, a_port: str, z: str, z_port: str) -> None:
+        for node, port in ((a, a_port), (z, z_port)):
+            channel = self.channels.get((node, port))
+            if channel is not None:
+                channel.set_up()
+            self.routers[node].ports[port].set_link_state(True)
+
     def router(self, name: str) -> RouterOS:
         return self.routers[name]
 

@@ -1,17 +1,32 @@
-"""Behaviour pins for the layers that sit on the LPM table.
+"""Behaviour pins: what the emulation computes, and how it got there.
 
-The table under RIB, FIB and Dataplane decides the order AFT entries are
-extracted in and how fast the emulation converges in *event* terms. A
-replacement has to be the same program: the digests below were computed
-on the commit before the hash-bucket table replaced the bit trie, and
-must never move for a change that claims to be a pure representation
-swap. The pickle round trip is what the service journal's snapshot
-manifest does to a ``Snapshot`` whose dataplane is already built.
+Every pinned run carries two kinds of constant, and a change has to say
+which kind it is allowed to move.
 
-The warm path has its own pin: a what-if campaign's verdict rows and
-temporal counts, computed on the commit before extraction started
-reusing snapshots per FIB version. None of the digests may depend on
-``PYTHONHASHSEED`` (CI runs this file under two).
+**Forwarding-state pins** (``FORWARDING``, ``CAMPAIGN_VERDICTS``) hash
+only what verification consumes: each node's extracted AFT without its
+``meta`` block, and a what-if campaign's verdict rows without their
+simulated-time fields. They were computed on the commit before BGP
+sessions got an Adj-RIB-Out and have never moved. No optimisation may
+move them: not a table swap, not extraction reuse, not a change to what
+the protocols put on the wire. The converged state is a property of the
+network, not of message order. Only a deliberate change to protocol
+*semantics* (a new best-path rule, a different export policy) re-pins
+them, and says so.
+
+**Trace pins** (``TRACE``, ``CAMPAIGN_TRACE``) hash everything else as
+well: simulated convergence times, kernel event counts, temporal
+checkpoint counts. A pure representation change (the LPM table under
+RIB/FIB/Dataplane, per-FIB-version extraction reuse, a cheaper event
+queue, memoised export) must leave them alone too; that is how it proves
+it is the same program. A change to *which messages are sent or when*
+re-pins them once, in the commit that makes it, with old -> new values
+in CHANGES.md. Last re-pinned when sessions stopped sending withdrawals
+and repeats their peer has no use for (production events 2965 -> 2376).
+
+The pickle round trip is what the service journal's snapshot manifest
+does to a ``Snapshot`` whose dataplane is already built. None of the
+digests may depend on ``PYTHONHASHSEED`` (CI runs this file under two).
 """
 
 import hashlib
@@ -30,17 +45,47 @@ from repro.whatif import WhatIfCampaign, link_flap_scenarios, single_link_failur
 
 SEED = 3
 
-#: sha256 of the extracted snapshot, and kernel events to converge.
-GOLDEN = {
+#: sha256 of ``{node: aft.to_dict() minus "meta"}``.
+FORWARDING = {
+    "fig2": "c64a28cc7d431ac1ada06355304f387992b55392f496c2114f025e884627eb2d",
+    "production": "a32df96c72bfc42f818da5bcb125965f47bfd50a7f9d550feb17d0c0f1c13fa1",
+}
+
+#: sha256 of the whole extracted snapshot, and kernel events to converge.
+TRACE = {
     "fig2": (
-        "12b6129397147b6a2e3f7d9f39d701dfd1efb3b2854b2dc1e1bae405658ef8f3",
-        3518,
+        "d42843379e2b434c876ffa16da7de7d5a64e8c9dc8e14704dbf261651ca8ca17",
+        3269,
     ),
     "production": (
-        "b707ab7bfedda63f2c0a662203f5da7ea58c1fc53035e7bea69ee4d14b14fa3a",
-        2965,
+        "ccaab204f760f3dfe9b101c27c833fd234c77f2cae900f84880f6477d9e5ce64",
+        2376,
     ),
 }
+
+#: sha256 of the campaign report minus its simulated-time fields.
+CAMPAIGN_VERDICTS = "071b3e2554564530f9e60dce5783e9ad1a10f76726473b0587e05048042dff12"
+
+#: sha256 of the whole campaign report; temporal checkpoints and intervals.
+CAMPAIGN_TRACE = (
+    "6391cc1f94e792f42a696cf1bea21ad93faca67e7296cd0e5f08adc92ddc99da",
+    10,
+    45,
+)
+
+
+def sha256_json(data) -> str:
+    return hashlib.sha256(
+        json.dumps(data, sort_keys=True).encode()
+    ).hexdigest()
+
+
+def forwarding_digest(snapshot) -> str:
+    state = {}
+    for node, aft in snapshot.afts.items():
+        state[node] = aft.to_dict()
+        del state[node]["meta"]
+    return sha256_json(state)
 
 
 def snapshot_digest(snapshot) -> str:
@@ -48,9 +93,32 @@ def snapshot_digest(snapshot) -> str:
     # Wall seconds are host time; the rest is a function of the seed.
     for timing in data["metadata"]["phases"].values():
         del timing["wall_seconds"]
-    return hashlib.sha256(
-        json.dumps(data, sort_keys=True).encode()
-    ).hexdigest()
+    return sha256_json(data)
+
+
+def campaign_verdicts_digest(data: dict) -> str:
+    """``data`` minus every field that reads the simulated clock."""
+
+    def timeless(value, drop=()):
+        return {
+            key: item
+            for key, item in value.items()
+            if not key.endswith("_seconds") and key not in drop
+        }
+
+    kept = timeless(data, drop=("speedup",))
+    kept["baseline"] = timeless(data["baseline"])
+    kept["scenarios"] = [
+        {
+            **timeless(row),
+            # How many checkpoints a stream needs, and when its worst
+            # interval sat, depend on message timing; what it found
+            # (violations, transient) does not.
+            "temporal": timeless(row["temporal"], drop=("checkpoints", "worst")),
+        }
+        for row in data["scenarios"]
+    ]
+    return sha256_json(kept)
 
 
 def converge(topology, context, timers, quiet_period):
@@ -61,58 +129,72 @@ def converge(topology, context, timers, quiet_period):
     return snapshot, backend.last_run.deployment.kernel.events_processed
 
 
-class TestGoldenDigest:
-    def test_fig2(self, fig2):
-        snapshot, events = converge(fig2.topology, None, FAST_TIMERS, 5.0)
-        assert (snapshot_digest(snapshot), events) == GOLDEN["fig2"]
+@pytest.fixture(scope="module")
+def fig2_run(fig2):
+    return converge(fig2.topology, None, FAST_TIMERS, 5.0)
 
-    def test_production(self):
-        scenario = production_scenario(6, peers=1, routes_per_peer=60)
-        context = ScenarioContext(
+
+@pytest.fixture(scope="module")
+def production_run():
+    scenario = production_scenario(6, peers=1, routes_per_peer=60)
+    context = ScenarioContext(name="prod", injectors=tuple(scenario.injectors))
+    return converge(scenario.topology, context, scaled_timers(60), 30.0)
+
+
+@pytest.fixture(scope="module")
+def campaign_report():
+    scenario = production_scenario(6, peers=1, routes_per_peer=60)
+    topology = scenario.topology
+    campaign = WhatIfCampaign(
+        topology,
+        [
+            *islice(single_link_failures(topology), 2),
+            *islice(link_flap_scenarios(topology, hold_seconds=30.0), 1),
+        ],
+        context=ScenarioContext(
             name="prod", injectors=tuple(scenario.injectors)
-        )
-        snapshot, events = converge(
-            scenario.topology, context, scaled_timers(60), 30.0
-        )
-        assert (snapshot_digest(snapshot), events) == GOLDEN["production"]
+        ),
+        timers=scaled_timers(60),
+        quiet_period=30.0,
+        seed=SEED,
+        temporal=True,
+    )
+    report = campaign.run()
+    data = report.to_dict()
+    for row in data["scenarios"]:
+        # hash()-based, so it differs from process to process.
+        del row["fib_fingerprint"]
+    return report, data
+
+
+class TestForwardingState:
+    def test_fig2(self, fig2_run):
+        assert forwarding_digest(fig2_run[0]) == FORWARDING["fig2"]
+
+    def test_production(self, production_run):
+        assert forwarding_digest(production_run[0]) == FORWARDING["production"]
+
+    def test_campaign_verdicts(self, campaign_report):
+        _, data = campaign_report
+        assert campaign_verdicts_digest(data) == CAMPAIGN_VERDICTS
+
+
+class TestGoldenDigest:
+    def test_fig2(self, fig2_run):
+        snapshot, events = fig2_run
+        assert (snapshot_digest(snapshot), events) == TRACE["fig2"]
+
+    def test_production(self, production_run):
+        snapshot, events = production_run
+        assert (snapshot_digest(snapshot), events) == TRACE["production"]
 
 
 class TestWarmCampaignGolden:
-    #: sha256 of the campaign report; temporal checkpoints and intervals.
-    GOLDEN = (
-        "15f6c3363763f87940cfd6e32adbc38f5059096dd860ffbc039860a6c1405150",
-        11,
-        45,
-    )
-
-    def test_production_cuts_and_flap(self):
-        scenario = production_scenario(6, peers=1, routes_per_peer=60)
-        topology = scenario.topology
-        campaign = WhatIfCampaign(
-            topology,
-            [
-                *islice(single_link_failures(topology), 2),
-                *islice(link_flap_scenarios(topology, hold_seconds=30.0), 1),
-            ],
-            context=ScenarioContext(
-                name="prod", injectors=tuple(scenario.injectors)
-            ),
-            timers=scaled_timers(60),
-            quiet_period=30.0,
-            seed=SEED,
-            temporal=True,
-        )
-        report = campaign.run()
-        data = report.to_dict()
-        for row in data["scenarios"]:
-            # hash()-based, so it differs from process to process.
-            del row["fib_fingerprint"]
-        digest = hashlib.sha256(
-            json.dumps(data, sort_keys=True).encode()
-        ).hexdigest()
+    def test_production_cuts_and_flap(self, campaign_report):
+        report, data = campaign_report
         checkpoints = sum(v.temporal_checkpoints for v in report.verdicts)
         intervals = sum(v.temporal_violations for v in report.verdicts)
-        assert (digest, checkpoints, intervals) == self.GOLDEN
+        assert (sha256_json(data), checkpoints, intervals) == CAMPAIGN_TRACE
 
 
 class TestSnapshotPickleRoundTrip:
