@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,7 +53,8 @@ class InterfaceConfig:
         lowered = self.name.lower()
         if lowered.startswith(("loopback", "system")):
             return True
-        return bool(re.match(r"^lo\d", lowered))
+        # "lo" + a decimal digit (any script: what regex \d accepts).
+        return lowered.startswith("lo") and lowered[2:3].isdecimal()
 
 
 @dataclass

@@ -56,6 +56,10 @@ class Fabric:
         # Per-flow serialization: a (src, dst) pair is one TCP-like
         # session; its messages occupy the pipe for their wire cost.
         self._flow_busy_until: dict[tuple[int, int], float] = {}
+        # The latest busy-until over all flows. A flow's value only ever
+        # grows, so "some flow is busy past now" is "this is past now".
+        self._busy_horizon = 0.0
+        self._flow_labels: dict[tuple[int, int], str] = {}
         self.datagrams_sent = 0
         self.datagrams_delivered = 0
         self.datagrams_dropped = 0
@@ -106,10 +110,12 @@ class Fabric:
             return False
         deliver, hops = plan
         delay = self._delivery_delay(src_ip, dst_ip, hops, payload)
+        label = self._flow_labels.get((src_ip, dst_ip))
+        if label is None:
+            label = f"fabric:{format_ipv4(src_ip)}->{format_ipv4(dst_ip)}"
+            self._flow_labels[(src_ip, dst_ip)] = label
         self.kernel.schedule(
-            delay,
-            lambda: deliver(src_ip, dst_ip, payload),
-            label=f"fabric:{format_ipv4(src_ip)}->{format_ipv4(dst_ip)}",
+            delay, lambda: deliver(src_ip, dst_ip, payload), label=label
         )
         self.datagrams_delivered += 1
         return True
@@ -156,6 +162,8 @@ class Fabric:
         start = max(self.kernel.now, self._flow_busy_until.get(key, 0.0))
         finish = start + wire_cost
         self._flow_busy_until[key] = finish
+        if finish > self._busy_horizon:
+            self._busy_horizon = finish
         return (finish - self.kernel.now) + latency
 
     def busy(self) -> bool:
@@ -165,11 +173,7 @@ class Fabric:
         while a full-table transfer is still on the wire — the gap
         between two large chunks can exceed any quiet window.
         """
-        now = self.kernel.now
-        stale = [k for k, until in self._flow_busy_until.items() if until <= now]
-        for key in stale:
-            del self._flow_busy_until[key]
-        return bool(self._flow_busy_until)
+        return self._busy_horizon > self.kernel.now
 
     # -- forwarding ----------------------------------------------------------------
 

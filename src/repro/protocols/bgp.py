@@ -144,6 +144,8 @@ class Session:
         self.neighbor = neighbor
         self.local_ip = local_ip
         self.peer_ip = neighbor.peer_address
+        # Every timer this session arms is labelled with it.
+        self._name = f"{instance.host.name}->{format_ipv4(self.peer_ip)}"
         self.state = SessionState.IDLE
         self.peer_router_id = 0
         self.stats = SessionStats()
@@ -153,6 +155,16 @@ class Session:
         # Adj-RIB-Out: what this session incarnation put on the wire,
         # prefix -> interned attrs (see the module fidelity notes).
         self.adj_rib_out: dict[Prefix, PathAttributes] = {}
+        #: Everything export policy reads of a session, bar "is this the
+        #: path's sender": sessions that agree here are told the same.
+        self.update_group = (
+            self.is_ebgp,
+            neighbor.route_reflector_client,
+            local_ip,
+            neighbor.next_hop_self,
+            neighbor.route_map_out,
+            neighbor.send_community,
+        )
         self._flush_scheduled = False
         self._stopped = False
 
@@ -414,7 +426,7 @@ class Session:
                     adj_rib_out.update(dict.fromkeys(piece, attrs))
 
     def __str__(self) -> str:
-        return f"{self.instance.host.name}->{format_ipv4(self.peer_ip)}"
+        return self._name
 
 
 class BgpInstance:
@@ -697,14 +709,25 @@ class BgpInstance:
         new_best: Optional[BgpPath],
     ) -> None:
         del old_best
+        # One export evaluation per update group. Sessions are still
+        # visited in ``self.sessions`` order: ``enqueue`` draws the MRAI
+        # jitter, and the draw order is part of the seeded behaviour.
+        exports: dict[tuple, Optional[PathAttributes]] = {}
+        sender_ip = (
+            None if new_best is None or new_best.is_local else new_best.peer_ip
+        )
         for session in self.sessions.values():
             if not session.is_established:
                 continue
-            exported = (
-                None
-                if new_best is None
-                else self._export(session, prefix, new_best)
-            )
+            exported = None
+            if new_best is not None and session.peer_ip != sender_ip:
+                group = session.update_group
+                if group in exports:
+                    exported = exports[group]
+                else:
+                    exported = exports[group] = self._export_to_group(
+                        session, prefix, new_best
+                    )
             session.enqueue(prefix, exported)
 
     def _export(
@@ -712,6 +735,17 @@ class BgpInstance:
     ) -> Optional[PathAttributes]:
         if not path.is_local and path.peer_ip == session.peer_ip:
             return None  # never back to the sender
+        return self._export_to_group(session, prefix, path)
+
+    def _export_to_group(
+        self, session: Session, prefix: Prefix, path: BgpPath
+    ) -> Optional[PathAttributes]:
+        """What ``session``'s update group is told about ``path``.
+
+        Reads nothing of ``session`` beyond its
+        :attr:`Session.update_group` fields, so the answer holds for
+        every member that is not the path's sender.
+        """
         if not session.is_ebgp and not path.from_ebgp and not path.is_local:
             # iBGP-learned goes to iBGP peers only via route reflection:
             # reflect client routes to everyone, non-client routes to

@@ -36,13 +36,15 @@ class QuiescenceTimeout(SimulationError):
         self.drained = drained
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
-    """A scheduled callback.
+    """A scheduled callback: the handle ``schedule`` returns.
 
-    Ordering is (time, priority, sequence): equal-time events run in
-    priority order, then insertion order, which keeps runs deterministic
-    for a fixed seed.
+    Events run in (time, priority, sequence) order: equal-time events
+    run in priority order, then insertion order, which keeps runs
+    deterministic for a fixed seed. The kernel's heap holds that key as
+    a plain tuple in front of the event, so ordering never calls back
+    into Python.
     """
 
     time: float
@@ -66,7 +68,9 @@ class SimKernel:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: list[Event] = []
+        # (time, priority, seq, event); seq is unique, so the event
+        # itself is never compared.
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._now = 0.0
         self._running = False
@@ -95,14 +99,10 @@ class SimKernel:
         """Schedule ``action`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        event = Event(
-            time=self._now + delay,
-            priority=priority,
-            seq=next(self._counter),
-            action=action,
-            label=label,
-        )
-        heapq.heappush(self._queue, event)
+        time = self._now + delay
+        seq = next(self._counter)
+        event = Event(time, priority, seq, action, label)
+        heapq.heappush(self._queue, (time, priority, seq, event))
         return event
 
     def schedule_at(
@@ -122,12 +122,12 @@ class SimKernel:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events in the queue."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for entry in self._queue if not entry[3].cancelled)
 
     def step(self) -> Optional[Event]:
         """Run the next event; returns it, or None if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -175,7 +175,7 @@ class SimKernel:
         try:
             processed = 0
             while self._queue:
-                head = self._queue[0]
+                head = self._queue[0][3]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     continue
@@ -218,7 +218,7 @@ class SimKernel:
                 raise SimulationError(
                     f"exceeded max_events={max_events} before quiescence"
                 )
-            head = self._queue[0]
+            head = self._queue[0][3]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue

@@ -74,6 +74,8 @@ class RouterOS:
         self.quirks = quirks or quirks_for(self.vendor, os_version)
         self.state = DeviceState.POWERED_OFF
         self.ports: dict[str, Port] = {}
+        # Configured address -> ports carrying it; see owns_address.
+        self._ports_by_address: dict[int, list[Port]] = {}
         self.rib = Rib(clock=lambda: kernel.now)
         self.config: DeviceConfig = DeviceConfig(hostname=name)
         self.config_text = ""
@@ -147,6 +149,16 @@ class RouterOS:
                 self.ports[iface.name] = port
             else:
                 existing.config = iface
+        self._index_port_addresses()
+
+    def _index_port_addresses(self) -> None:
+        """Rebuild the address index; call after ports or their configs
+        are (re)instantiated. Link state is not part of it."""
+        index: dict[int, list[Port]] = {}
+        for port in self.ports.values():
+            if port.address is not None:
+                index.setdefault(port.address, []).append(port)
+        self._ports_by_address = index
 
     def _install_kernel_routes(self) -> None:
         for port in self.ports.values():
@@ -279,13 +291,14 @@ class RouterOS:
         if port is None:
             port = Port(self.config.interface(name))
             self.ports[name] = port
+            self._index_port_addresses()
         return port
 
     def local_addresses(self) -> list[int]:
         return [p.address for p in self.ports.values() if p.address is not None]
 
     def owns_address(self, address: int) -> bool:
-        return any(p.address == address for p in self.ports.values() if p.is_up)
+        return any(p.is_up for p in self._ports_by_address.get(address, ()))
 
     def connected_port_for(self, address: int) -> Optional[Port]:
         """The up port whose subnet contains ``address``."""

@@ -33,19 +33,18 @@ class MiniNet:
             quiet, poll=detector.poll, max_time=max_time
         )
 
-    def link_down(self, a: str, a_port: str, z: str, z_port: str) -> None:
+    def _set_link(self, a: str, a_port: str, z: str, z_port: str, up: bool) -> None:
         for node, port in ((a, a_port), (z, z_port)):
             channel = self.channels.get((node, port))
             if channel is not None:
-                channel.set_down()
-            self.routers[node].ports[port].set_link_state(False)
+                channel.set_up() if up else channel.set_down()
+            self.routers[node].ports[port].set_link_state(up)
+
+    def link_down(self, a: str, a_port: str, z: str, z_port: str) -> None:
+        self._set_link(a, a_port, z, z_port, up=False)
 
     def link_up(self, a: str, a_port: str, z: str, z_port: str) -> None:
-        for node, port in ((a, a_port), (z, z_port)):
-            channel = self.channels.get((node, port))
-            if channel is not None:
-                channel.set_up()
-            self.routers[node].ports[port].set_link_state(True)
+        self._set_link(a, a_port, z, z_port, up=True)
 
     def router(self, name: str) -> RouterOS:
         return self.routers[name]

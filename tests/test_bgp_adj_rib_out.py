@@ -10,6 +10,11 @@ what-if flap), two things must hold whenever it is quiet again:
 * every established session's Adj-RIB-Out is exactly what its peer holds
   from it in ``adj_rib_in``.
 
+While the network churns, every change ``_advertise_change`` hands to a
+session is also checked against a per-session ``_export`` of the same
+path: evaluating export once per update group must tell each member
+exactly what evaluating it for that member alone would.
+
 The runs are seeded; CI repeats this file under a fixed
 ``PYTHONHASHSEED`` because ``_decide`` iterates a ``set[Prefix]``.
 """
@@ -24,7 +29,7 @@ from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.net.addr import Prefix
 from repro.obs import bus
-from repro.protocols.bgp import Notification, Update
+from repro.protocols.bgp import BgpInstance, Notification, Session, Update
 from repro.protocols.bgp_attrs import Origin, PathAttributes, intern_attrs
 from repro.protocols.timers import FAST_TIMERS, TimerProfile
 from repro.topo.builder import TopologyBuilder
@@ -140,15 +145,44 @@ def assert_wire_invariants(deployment, tracer) -> int:
     return compared
 
 
-def settle(deployment, case, *, run_for: float = 0.0, quiet=None) -> None:
+def settle(deployment, case, *, run_for: float = 0.0) -> None:
     if run_for:
         deployment.kernel.run(until=deployment.kernel.now + run_for)
-    deployment.wait_converged(quiet_period=quiet or case.quiet_period)
+    deployment.wait_converged(quiet_period=case.quiet_period)
+
+
+@pytest.fixture
+def export_oracle(monkeypatch):
+    """(f) Compare what each session is told with its own ``_export``."""
+    advertise = BgpInstance._advertise_change
+    enqueue = Session.enqueue
+    told = {}
+    checked = []
+
+    def spy_enqueue(session, prefix, attrs):
+        told[session] = attrs
+        enqueue(session, prefix, attrs)
+
+    def checked_advertise(instance, prefix, old_best, new_best):
+        told.clear()
+        advertise(instance, prefix, old_best, new_best)
+        for session in instance.sessions.values():
+            if session.is_established:
+                alone = (
+                    None if new_best is None
+                    else instance._export(session, prefix, new_best)
+                )
+                assert told[session] is alone, (str(session), str(prefix))
+                checked.append(session.update_group)
+
+    monkeypatch.setattr(Session, "enqueue", spy_enqueue)
+    monkeypatch.setattr(BgpInstance, "_advertise_change", checked_advertise)
+    return checked
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", ["fig2", "production", "reflector-line"])
-def test_wire_invariants_through_churn(name, seed, fig2):
+def test_wire_invariants_through_churn(name, seed, fig2, export_oracle):
     case = build_case(name, fig2)
     backend = ModelFreeBackend(
         case.topology, timers=case.timers, quiet_period=case.quiet_period
@@ -191,6 +225,7 @@ def test_wire_invariants_through_churn(name, seed, fig2):
         )
         assert assert_wire_invariants(deployment, tracer) == sessions
         assert tracer.counters["bgp.update.received"] > 0
+    assert len(set(export_oracle)) >= 2  # more than one group was told
 
 
 # -- the table's own rules, on one eBGP session ------------------------------

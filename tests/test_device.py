@@ -1,6 +1,9 @@
 """Tests for the vendor-neutral device model and routing policy."""
 
+import re
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.device.interfaces import InterfaceConfig, IsisInterfaceSettings
 from repro.device.model import BgpConfig, DeviceConfig, IsisConfig
@@ -64,6 +67,41 @@ class TestInterfaceConfig:
     )
     def test_is_loopback_naming(self, name, expected):
         assert InterfaceConfig(name=name).is_loopback is expected
+
+    @staticmethod
+    def _is_loopback_by_regex(name: str) -> bool:
+        """The expression ``is_loopback`` used before it went regex-free."""
+        lowered = name.lower()
+        if lowered.startswith(("loopback", "system")):
+            return True
+        return bool(re.match(r"^lo\d", lowered))
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from("lLoOsSyYtTeEmMpPbBaAcCkK019\u0663\u00b2\u2167\u0130"),
+                st.characters(),
+            ),
+            max_size=10,
+        )
+    )
+    @example("")
+    @example("lo")
+    @example("lo0")
+    @example("LO9x")
+    @example("loop")
+    @example("Lo\u0663")  # Arabic-Indic three: Nd, so \d takes it
+    @example("lo\u00b2")  # superscript two: a digit, but not Nd
+    @example("lo\u2167")  # Roman numeral eight: numeric, not Nd
+    @example("\u0130lo0")  # lower() lengthens the dotted capital I
+    @example("lo\n1")
+    @example("system0")
+    @example("Loopback")
+    @example("Ethernet1")
+    def test_is_loopback_accepts_what_the_regex_did(self, name):
+        assert InterfaceConfig(name=name).is_loopback is (
+            self._is_loopback_by_regex(name)
+        )
 
 
 class TestDeviceConfig:

@@ -1,5 +1,8 @@
 """Direct unit tests for the routed inter-pod fabric."""
 
+import random
+from dataclasses import dataclass
+
 import pytest
 
 from repro.net.addr import parse_ipv4
@@ -120,6 +123,84 @@ class TestFlowSerialization:
         assert net.fabric.busy()
         net.kernel.run(until=net.kernel.now + 10.0)
         assert not net.fabric.busy()
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_busy_is_some_flow_busy_past_now(self, net, seed):
+        """The O(1) answer against the definition, on a seeded script."""
+
+        @dataclass
+        class Costed:
+            wire_cost: float
+
+        def some_flow_busy_past_now():
+            now = net.kernel.now
+            return any(
+                until > now for until in net.fabric._flow_busy_until.values()
+            )
+
+        loopbacks = {f"r{i}": parse_ipv4(f"2.2.2.{i}") for i in (1, 2, 3)}
+        for node, address in loopbacks.items():
+            net.fabric.register(node, address, lambda *_: None)
+        script = random.Random(seed)
+        seen = set()
+        for _ in range(300):
+            if script.random() < 0.6:
+                src, dst = script.sample(sorted(loopbacks), 2)
+                cost = script.choice([0.0, 0.0, 0.01, 0.3, 2.0])
+                assert net.fabric.send(
+                    src, loopbacks[src], loopbacks[dst], Costed(cost)
+                )
+            else:
+                ahead = script.choice([0.0, 0.005, 0.2, 1.0, 5.0])
+                net.kernel.run(until=net.kernel.now + ahead)
+            assert net.fabric.busy() == some_flow_busy_past_now()
+            seen.add(net.fabric.busy())
+        assert seen == {True, False}
+
+
+class TestOwnsAddress:
+    @staticmethod
+    def owned_by_scan(router, address):
+        return any(
+            p.address == address for p in router.ports.values() if p.is_up
+        )
+
+    def assert_index_agrees(self, net):
+        addresses = {
+            a for r in net.routers.values() for a in r.local_addresses()
+        } | {parse_ipv4("203.0.113.9")}
+        for router in net.routers.values():
+            for address in addresses:
+                assert router.owns_address(address) == self.owned_by_scan(
+                    router, address
+                ), (router.name, address)
+
+    def test_index_agrees_with_port_scan_through_link_changes(self, net):
+        self.assert_index_agrees(net)
+        r2 = net.router("r2")
+        assert r2.owns_address(parse_ipv4("10.0.0.1"))
+        net.link_down("r1", "Ethernet1", "r2", "Ethernet1")
+        assert not r2.owns_address(parse_ipv4("10.0.0.1"))
+        self.assert_index_agrees(net)
+        net.link_up("r1", "Ethernet1", "r2", "Ethernet1")
+        assert r2.owns_address(parse_ipv4("10.0.0.1"))
+        self.assert_index_agrees(net)
+
+    def test_index_follows_reconfiguration_and_new_ports(self, net):
+        r3 = net.router("r3")
+        r3.port("Ethernet7")  # wired before it has any configuration
+        self.assert_index_agrees(net)
+        r3.apply_config(
+            isis_config(
+                "r3", 3, "2.2.2.33",
+                [("Ethernet1", "10.0.1.1/31"), ("Ethernet7", "10.0.7.0/31")],
+            )
+        )
+        assert r3.owns_address(parse_ipv4("2.2.2.33"))
+        assert not r3.owns_address(parse_ipv4("2.2.2.3"))
+        # Addressed now, but still no carrier.
+        assert not r3.owns_address(parse_ipv4("10.0.7.0"))
+        self.assert_index_agrees(net)
 
 
 class TestExternals:
