@@ -44,6 +44,20 @@ class L3Edge:
         )
 
 
+def _group_hops(snapshot: AftSnapshot, group_id: int) -> tuple[ResolvedHop, ...]:
+    hops = []
+    for index in snapshot.next_hop_groups[group_id].next_hop_indices:
+        next_hop = snapshot.next_hops[index]
+        gateway = next_hop.ip_address
+        hops.append(
+            ResolvedHop(
+                interface=next_hop.interface,
+                gateway=parse_ipv4(gateway) if gateway is not None else None,
+            )
+        )
+    return tuple(hops)
+
+
 class DeviceForwarding:
     """One device's forwarding table plus interface addressing."""
 
@@ -75,21 +89,16 @@ class DeviceForwarding:
                     iface.prefix_length,
                 )
                 self.local_addresses.add(address)
+        # One hop tuple per next-hop group, shared by its entries.
+        groups: dict[int, tuple[ResolvedHop, ...]] = {}
         for prefix, entry in snapshot.forward_entries():
             hops: tuple[ResolvedHop, ...] = ()
             if entry.entry_type == "forward" and entry.next_hop_group is not None:
-                group = snapshot.next_hop_groups[entry.next_hop_group]
-                hops = tuple(
-                    ResolvedHop(
-                        interface=snapshot.next_hops[i].interface,
-                        gateway=(
-                            parse_ipv4(snapshot.next_hops[i].ip_address)
-                            if snapshot.next_hops[i].ip_address is not None
-                            else None
-                        ),
+                hops = groups.get(entry.next_hop_group)  # type: ignore[assignment]
+                if hops is None:
+                    hops = groups[entry.next_hop_group] = _group_hops(
+                        snapshot, entry.next_hop_group
                     )
-                    for i in group.next_hop_indices
-                )
             self.trie.insert(
                 prefix,
                 ForwardingEntry(

@@ -24,6 +24,15 @@ Fidelity notes (deliberate scope):
   change for that prefix, so announce-then-withdraw inside one MRAI
   window sends nothing. The converged forwarding state does not depend
   on the suppressed traffic; event counts and simulated times do;
+* prefix-independent decisions (BGP PIC): one ``_decide`` pass runs the
+  decision process once per distinct candidate signature (who offers
+  which interned attrs, plus any local origination) and shares the
+  chosen paths, next-hop tuple and RIB route shape across every prefix
+  with that signature; the RIB resolves each next hop once into a
+  shared group (:mod:`repro.rib.rib`). Next-hop IGP metrics are read
+  through :meth:`~repro.rib.rib.Rib.track`, so the RIB says when one may
+  have moved, and an IGP change re-decides only the prefixes with a
+  candidate through a next hop whose metric moved;
 * hold/keepalive timers and connect retry, so link cuts and session
   shutdowns propagate with realistic detection latency. Known and left
   alone: control messages queued behind a serialized UPDATE can reach
@@ -39,7 +48,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from repro.device.model import BgpConfig, BgpNeighborConfig, DeviceConfig
 from repro.device.routing_policy import MatchResult
@@ -57,6 +66,12 @@ from repro.protocols.host import RouterHost
 from repro.protocols.timers import TimerProfile
 from repro.protocols.transport import ControlTransport
 from repro.rib.route import NextHop, Protocol, Route
+
+
+_BGP_PROTOCOLS = (Protocol.BGP_EXTERNAL, Protocol.BGP_INTERNAL)
+#: A next hop's metric is not cached / decisions used different metrics.
+_UNKNOWN = object()
+_MIXED = object()
 
 
 # -- messages ----------------------------------------------------------------
@@ -463,6 +478,17 @@ class BgpInstance:
         self._registered_ips: set[int] = set()
         self._igp_refresh_scheduled = False
         self._running = False
+        # Decision-process caches (see the module fidelity notes).
+        # Interned attrs live for the process, so ``id`` names them.
+        self._paths: dict[tuple, BgpPath] = {}
+        self._hop_tuples: dict[tuple[int, ...], tuple[NextHop, ...]] = {}
+        self._decisions: dict[tuple, tuple] = {}
+        # Next hop -> IGP metric, while the RIB vouches for it; and the
+        # metric every decision in effect used for it (or _MIXED).
+        self._metrics: dict[int, Optional[int]] = {}
+        self._decided_metrics: dict[int, Any] = {}
+        self._moved_next_hops: set[int] = set()
+        host.rib.next_hop_listeners.append(self._on_next_hop_moved)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -614,121 +640,201 @@ class BgpInstance:
     def _igp_metric(self, next_hop: int) -> Optional[int]:
         if next_hop == 0:
             return 0
-        route = self.host.rib.longest_match(next_hop)
-        if route is None:
-            return None
-        if route.protocol in (Protocol.BGP_EXTERNAL, Protocol.BGP_INTERNAL):
-            return None  # next hop must resolve via IGP/connected/static
-        return route.metric
+        metric = self._metrics.get(next_hop, _UNKNOWN)
+        if metric is not _UNKNOWN:
+            return metric  # type: ignore[return-value]
+        route = self.host.rib.track(next_hop)
+        if route is None or route.protocol in _BGP_PROTOCOLS:
+            # Next hop must resolve via IGP/connected/static.
+            metric = None
+        else:
+            metric = route.metric
+        self._metrics[next_hop] = metric
+        decided = self._decided_metrics.get(next_hop, _UNKNOWN)
+        if decided is _UNKNOWN:
+            self._decided_metrics[next_hop] = metric
+        elif decided != metric:
+            self._decided_metrics[next_hop] = _MIXED
+        return metric
 
-    def _decide(self, prefixes: set[Prefix]) -> None:
-        changed: list[tuple[Prefix, Optional[BgpPath], Optional[BgpPath]]] = []
+    def _on_next_hop_moved(self, address: int) -> None:
+        """The RIB's answer for ``address`` may have changed."""
+        if self._metrics.pop(address, _UNKNOWN) is not _UNKNOWN:
+            self._moved_next_hops.add(address)
+            self._decisions.clear()
+
+    def _path(
+        self, attrs: PathAttributes, session: Optional[Session]
+    ) -> BgpPath:
+        """The one shared :class:`BgpPath` for ``attrs`` from ``session``
+        (``None``: locally originated)."""
+        if session is None:
+            key: tuple = (None, id(attrs))
+        else:
+            key = (session.peer_ip, session.peer_router_id, id(attrs))
+        path = self._paths.get(key)
+        if path is None:
+            if session is None:
+                path = BgpPath(
+                    attrs=attrs,
+                    from_ebgp=False,
+                    peer_ip=0,
+                    peer_router_id=self.router_id,
+                    is_local=True,
+                )
+            else:
+                path = BgpPath(
+                    attrs=attrs,
+                    from_ebgp=session.is_ebgp,
+                    peer_ip=session.peer_ip,
+                    peer_router_id=session.peer_router_id,
+                )
+            self._paths[key] = path
+        return path
+
+    def _decide(
+        self, prefixes: Iterable[Prefix], moved: Optional[set[int]] = None
+    ) -> None:
+        """Run the decision process for ``prefixes``, in their order.
+
+        The outcome for a prefix depends only on its candidate signature,
+        so it is computed once per signature and pass. With ``moved``,
+        a prefix is decided only if a candidate's next hop is in it or
+        moved during this pass: every other outcome would be unchanged.
+        """
+        live = []
+        for peer_ip, rib_in in self.adj_rib_in.items():
+            session = self.sessions.get(peer_ip)
+            if session is not None and session.is_established:
+                live.append((peer_ip, rib_in.get, session))
+        decisions = self._decisions
+        decisions.clear()
+        local_get = self.locally_originated.get
+        local_rib = self.local_rib
+        multipath = self.multipath
+        changed: list[tuple[Prefix, Optional[BgpPath]]] = []
         for prefix in prefixes:
-            paths: list[BgpPath] = []
-            local_attrs = self.locally_originated.get(prefix)
-            if local_attrs is not None:
-                paths.append(
-                    BgpPath(
-                        attrs=local_attrs,
-                        from_ebgp=False,
-                        peer_ip=0,
-                        peer_router_id=self.router_id,
-                        is_local=True,
-                    )
+            if moved is not None and not self._through_moved(
+                prefix, live, moved
+            ):
+                continue
+            local = local_get(prefix)
+            signature: tuple = (id(local),)
+            for peer_ip, get, _ in live:
+                attrs = get(prefix)
+                if attrs is not None:
+                    signature += (peer_ip, id(attrs))
+            decision = decisions.get(signature)
+            if decision is None:
+                decision = decisions[signature] = self._decision(
+                    prefix, local, live
                 )
-            for peer_ip, rib_in in self.adj_rib_in.items():
-                attrs = rib_in.get(prefix)
-                if attrs is None:
-                    continue
-                session = self.sessions.get(peer_ip)
-                if session is None or not session.is_established:
-                    continue
-                paths.append(
-                    BgpPath(
-                        attrs=attrs,
-                        from_ebgp=session.is_ebgp,
-                        peer_ip=peer_ip,
-                        peer_router_id=session.peer_router_id,
-                    )
-                )
-            chosen = multipath_set(
+            new_set = decision[0]
+            old_set = multipath.get(prefix, ())
+            if new_set == old_set:
+                continue
+            new_best = new_set[0] if new_set else None
+            old_best = local_rib.get(prefix)
+            if new_best is None:
+                local_rib.pop(prefix, None)
+                multipath.pop(prefix, None)
+            else:
+                local_rib[prefix] = new_best
+                multipath[prefix] = new_set
+            self._program_rib(prefix, decision)
+            if new_best != old_best:
+                changed.append((prefix, new_best))
+        if changed:
+            self._advertise(changed)
+
+    def _through_moved(self, prefix: Prefix, live: list, moved: set[int]) -> bool:
+        for _, get, _ in live:
+            attrs = get(prefix)
+            if attrs is not None and (
+                attrs.next_hop in moved or attrs.next_hop in self._moved_next_hops
+            ):
+                return True
+        return False
+
+    def _decision(
+        self,
+        prefix: Prefix,
+        local: Optional[PathAttributes],
+        live: list,
+    ) -> tuple:
+        """(multipath set, RIB protocol or None, next hops, metric) for
+        one candidate signature; ``prefix`` only names a member."""
+        paths: list[BgpPath] = []
+        if local is not None:
+            paths.append(self._path(local, None))
+        for _, get, session in live:
+            attrs = get(prefix)
+            if attrs is not None:
+                paths.append(self._path(attrs, session))
+        chosen = tuple(
+            multipath_set(
                 paths,
                 self._igp_metric,
                 maximum_paths=self.config.maximum_paths,
                 prefer_higher_igp_metric=self.quirk_prefer_higher_igp_metric,
             )
-            new_best = chosen[0] if chosen else None
-            new_set = tuple(chosen)
-            old_best = self.local_rib.get(prefix)
-            old_set = self.multipath.get(prefix, ())
-            if new_best == old_best and new_set == old_set:
-                continue
-            if new_best is None:
-                self.local_rib.pop(prefix, None)
-                self.multipath.pop(prefix, None)
-            else:
-                self.local_rib[prefix] = new_best
-                self.multipath[prefix] = new_set
-            self._program_rib(prefix, new_set)
-            if new_best != old_best:
-                changed.append((prefix, old_best, new_best))
-        for prefix, old_best, new_best in changed:
-            self._advertise_change(prefix, old_best, new_best)
-
-    def _program_rib(
-        self, prefix: Prefix, chosen: tuple[BgpPath, ...]
-    ) -> None:
-        self.host.rib.withdraw(Protocol.BGP_EXTERNAL, prefix)
-        self.host.rib.withdraw(Protocol.BGP_INTERNAL, prefix)
-        installable = [p for p in chosen if not p.is_local]
-        if not chosen or chosen[0].is_local or not installable:
-            return
+        )
+        if not chosen or chosen[0].is_local:
+            return chosen, None, (), 0
         best = chosen[0]
+        ips = tuple(dict.fromkeys(p.attrs.next_hop for p in chosen if not p.is_local))
+        next_hops = self._hop_tuples.get(ips)
+        if next_hops is None:
+            next_hops = self._hop_tuples[ips] = tuple(NextHop(ip=ip) for ip in ips)
         protocol = (
             Protocol.BGP_EXTERNAL if best.from_ebgp else Protocol.BGP_INTERNAL
         )
-        next_hops = tuple(
-            dict.fromkeys(NextHop(ip=p.attrs.next_hop) for p in installable)
-        )
-        self.host.rib.install(
-            Route(
+        return chosen, protocol, next_hops, best.attrs.med
+
+    def _program_rib(self, prefix: Prefix, decision: tuple) -> None:
+        chosen, protocol, next_hops, metric = decision
+        route = None
+        if protocol is not None:
+            route = Route(
                 prefix=prefix,
                 protocol=protocol,
                 next_hops=next_hops,
-                metric=best.attrs.med,
-                source=best,
+                metric=metric,
+                source=chosen[0],
             )
-        )
+        self.host.rib.replace(prefix, _BGP_PROTOCOLS, route)
 
     # -- advertisement --------------------------------------------------------------
 
-    def _advertise_change(
-        self,
-        prefix: Prefix,
-        old_best: Optional[BgpPath],
-        new_best: Optional[BgpPath],
+    def _advertise(
+        self, changed: list[tuple[Prefix, Optional[BgpPath]]]
     ) -> None:
-        del old_best
-        # One export evaluation per update group. Sessions are still
-        # visited in ``self.sessions`` order: ``enqueue`` draws the MRAI
-        # jitter, and the draw order is part of the seeded behaviour.
+        """Tell every established session each prefix's new best path.
+
+        Export is evaluated once per update group and path in a pass
+        (and per prefix only where an outbound route map reads it).
+        Sessions are still visited in ``self.sessions`` order for every
+        prefix: ``enqueue`` draws the MRAI jitter, and the draw order is
+        part of the seeded behaviour.
+        """
+        sessions = [s for s in self.sessions.values() if s.is_established]
         exports: dict[tuple, Optional[PathAttributes]] = {}
-        sender_ip = (
-            None if new_best is None or new_best.is_local else new_best.peer_ip
-        )
-        for session in self.sessions.values():
-            if not session.is_established:
-                continue
-            exported = None
-            if new_best is not None and session.peer_ip != sender_ip:
-                group = session.update_group
-                if group in exports:
-                    exported = exports[group]
-                else:
-                    exported = exports[group] = self._export_to_group(
-                        session, prefix, new_best
-                    )
-            session.enqueue(prefix, exported)
+        for prefix, new_best in changed:
+            sender_ip = (
+                None if new_best is None or new_best.is_local else new_best.peer_ip
+            )
+            for session in sessions:
+                exported = None
+                if new_best is not None and session.peer_ip != sender_ip:
+                    key: tuple = (session.update_group, id(new_best))
+                    if session.neighbor.route_map_out is not None:
+                        key += (prefix,)
+                    exported = exports.get(key, _UNKNOWN)  # type: ignore[assignment]
+                    if exported is _UNKNOWN:
+                        exported = exports[key] = self._export_to_group(
+                            session, prefix, new_best
+                        )
+                session.enqueue(prefix, exported)
 
     def _export(
         self, session: Session, prefix: Prefix, path: BgpPath
@@ -843,11 +949,20 @@ class BgpInstance:
         if not self._running:
             return
         self._refresh_originations()
-        affected: set[Prefix] = set(self.local_rib)
-        for rib_in in self.adj_rib_in.values():
-            affected.update(rib_in)
-        if affected:
-            self._decide(affected)
+        moved: set[int] = set()
+        dirty, self._moved_next_hops = self._moved_next_hops, set()
+        for next_hop in dirty:
+            metric = self._igp_metric(next_hop)
+            if self._decided_metrics[next_hop] != metric:
+                moved.add(next_hop)
+                self._decided_metrics[next_hop] = metric
+        if moved:
+            # The full set, so prefixes are decided (and their changes
+            # advertised) in the order a whole-table pass would use.
+            affected: set[Prefix] = set(self.local_rib)
+            for rib_in in self.adj_rib_in.values():
+                affected.update(rib_in)
+            self._decide(affected, moved)
         self.host.after_protocol_event()
 
     # -- introspection ------------------------------------------------------------

@@ -15,12 +15,11 @@ from repro.verify.reachability import (
 
 def detect_loops(dataplane: Dataplane) -> list[ReachabilityRow]:
     """Every (ingress, destination set) that forwards in a cycle."""
-    analysis = ReachabilityAnalysis(dataplane)
-    return [
-        row
-        for row in analysis.analyze()
-        if Disposition.LOOP in row.dispositions
-    ]
+    return _loops(ReachabilityAnalysis(dataplane).analyze())
+
+
+def _loops(rows: list[ReachabilityRow]) -> list[ReachabilityRow]:
+    return [row for row in rows if Disposition.LOOP in row.dispositions]
 
 
 def detect_blackholes(dataplane: Dataplane) -> list[ReachabilityRow]:
@@ -29,17 +28,19 @@ def detect_blackholes(dataplane: Dataplane) -> list[ReachabilityRow]:
     Restricted to destinations some device in the network actually owns
     — unowned space legitimately has no route at the edge.
     """
+    return _blackholes(dataplane, ReachabilityAnalysis(dataplane).analyze())
+
+
+def _blackholes(
+    dataplane: Dataplane, rows: list[ReachabilityRow]
+) -> list[ReachabilityRow]:
     owned = set(dataplane.address_owner)
-    analysis = ReachabilityAnalysis(dataplane)
-    rows = []
-    for row in analysis.analyze():
-        if not (
-            {Disposition.NO_ROUTE, Disposition.NULL_ROUTED} & row.dispositions
-        ):
-            continue
-        if any(address in row.dst_set for address in owned):
-            rows.append(row)
-    return rows
+    return [
+        row
+        for row in rows
+        if {Disposition.NO_ROUTE, Disposition.NULL_ROUTED} & row.dispositions
+        and any(address in row.dst_set for address in owned)
+    ]
 
 
 @dataclass(frozen=True)
@@ -70,31 +71,32 @@ def detect_degraded(dataplane: Dataplane) -> list[ReachabilityRow]:
     These are *absence-of-proof* rows, not violations: the destination
     belongs to a node whose forwarding state could not be extracted.
     """
-    analysis = ReachabilityAnalysis(dataplane)
+    return _degraded(ReachabilityAnalysis(dataplane).analyze())
+
+
+def _degraded(rows: list[ReachabilityRow]) -> list[ReachabilityRow]:
     return [
-        row
-        for row in analysis.analyze()
-        if Disposition.UNKNOWN_DEGRADED in row.dispositions
+        row for row in rows if Disposition.UNKNOWN_DEGRADED in row.dispositions
     ]
 
 
 def verification_summary(dataplane: Dataplane) -> dict[str, int]:
     """The standard invariant battery as counts (pipeline verify phase).
 
-    All checks share one cached atom-graph engine, so the battery is a
-    single set of per-atom graph passes regardless of how many
-    invariants run. The ``degraded`` count appears only for partial
+    All checks share one cached atom-graph engine, and the loop,
+    blackhole and degraded counts filter one set of reachability rows,
+    so the battery is a single set of per-atom graph passes and one
+    row merge. The ``degraded`` count appears only for partial
     snapshots, keeping fault-free summaries byte-identical to earlier
     releases.
     """
-    loops = detect_loops(dataplane)
-    blackholes = detect_blackholes(dataplane)
+    rows = ReachabilityAnalysis(dataplane).analyze()
     violations = verify_pairwise_reachability(dataplane)
     summary = {
-        "loops": len(loops),
-        "blackholes": len(blackholes),
+        "loops": len(_loops(rows)),
+        "blackholes": len(_blackholes(dataplane, rows)),
         "unreachable_pairs": len(violations),
     }
     if dataplane.degraded_nodes or dataplane.degraded_owned:
-        summary["degraded"] = len(detect_degraded(dataplane))
+        summary["degraded"] = len(_degraded(rows))
     return summary

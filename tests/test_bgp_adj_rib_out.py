@@ -10,7 +10,7 @@ what-if flap), two things must hold whenever it is quiet again:
 * every established session's Adj-RIB-Out is exactly what its peer holds
   from it in ``adj_rib_in``.
 
-While the network churns, every change ``_advertise_change`` hands to a
+While the network churns, every change ``_advertise`` hands to a
 session is also checked against a per-session ``_export`` of the same
 path: evaluating export once per update group must tell each member
 exactly what evaluating it for that member alone would.
@@ -154,29 +154,32 @@ def settle(deployment, case, *, run_for: float = 0.0) -> None:
 @pytest.fixture
 def export_oracle(monkeypatch):
     """(f) Compare what each session is told with its own ``_export``."""
-    advertise = BgpInstance._advertise_change
+    advertise = BgpInstance._advertise
     enqueue = Session.enqueue
     told = {}
     checked = []
 
     def spy_enqueue(session, prefix, attrs):
-        told[session] = attrs
+        told[session, prefix] = attrs
         enqueue(session, prefix, attrs)
 
-    def checked_advertise(instance, prefix, old_best, new_best):
+    def checked_advertise(instance, changed):
         told.clear()
-        advertise(instance, prefix, old_best, new_best)
-        for session in instance.sessions.values():
-            if session.is_established:
-                alone = (
-                    None if new_best is None
-                    else instance._export(session, prefix, new_best)
-                )
-                assert told[session] is alone, (str(session), str(prefix))
-                checked.append(session.update_group)
+        advertise(instance, changed)
+        for prefix, new_best in changed:
+            for session in instance.sessions.values():
+                if session.is_established:
+                    alone = (
+                        None if new_best is None
+                        else instance._export(session, prefix, new_best)
+                    )
+                    assert told[session, prefix] is alone, (
+                        str(session), str(prefix)
+                    )
+                    checked.append(session.update_group)
 
     monkeypatch.setattr(Session, "enqueue", spy_enqueue)
-    monkeypatch.setattr(BgpInstance, "_advertise_change", checked_advertise)
+    monkeypatch.setattr(BgpInstance, "_advertise", checked_advertise)
     return checked
 
 

@@ -8,7 +8,7 @@ so tests can construct any network state directly.
 import pytest
 
 from repro.dataplane.forwarding import Disposition, ForwardingWalk, dst_atoms
-from repro.dataplane.model import Dataplane
+from repro.dataplane.model import Dataplane, DeviceForwarding, ResolvedHop
 from repro.gnmi.aft import (
     AftInterface,
     AftIpv4Entry,
@@ -215,3 +215,39 @@ class TestAtoms:
                 walk.walk("a", sample).dispositions for sample in samples
             }
             assert len(outcomes) == 1
+
+
+def per_entry_hops(aft, entry):
+    """How an entry's hops were parsed before groups were parsed once."""
+    hops = ()
+    if entry.entry_type == "forward" and entry.next_hop_group is not None:
+        group = aft.next_hop_groups[entry.next_hop_group]
+        hops = tuple(
+            ResolvedHop(
+                interface=aft.next_hops[i].interface,
+                gateway=(
+                    parse_ipv4(aft.next_hops[i].ip_address)
+                    if aft.next_hops[i].ip_address is not None
+                    else None
+                ),
+            )
+            for i in group.next_hop_indices
+        )
+    return hops
+
+
+class TestNextHopGroups:
+    def test_one_hop_tuple_per_group_same_content(self, fig2_snapshots):
+        reused = 0
+        for aft in fig2_snapshots[0].afts.values():
+            device = DeviceForwarding(aft)
+            by_group = {}
+            forwarding = 0
+            for prefix, entry in aft.forward_entries():
+                hops = device.trie.get(prefix).hops
+                assert hops == per_entry_hops(aft, entry)
+                if hops:
+                    forwarding += 1
+                    assert by_group.setdefault(entry.next_hop_group, hops) is hops
+            reused += forwarding - len(by_group)
+        assert reused > 0
