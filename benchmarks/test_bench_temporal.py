@@ -28,6 +28,7 @@ from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.temporal import CheckpointRecorder, evaluate_stream
+from repro.verify import engine as engine_mod
 from repro.whatif import link_flap_scenarios
 
 SMOKE = bool(os.environ.get("MFV_BENCH_SMOKE"))
@@ -77,20 +78,17 @@ def _best_seconds(fn, rounds=ROUNDS):
     return best, result
 
 
-def test_incremental_vs_rebuild_per_checkpoint(benchmark, report):
+def test_incremental_vs_rebuild_per_checkpoint(benchmark, report, monkeypatch):
     # Lift the dirty-fraction gate so every step takes the delta path —
     # the bench measures the patch, not the cost heuristic.
-    os.environ["MFV_DELTA_THRESHOLD"] = "1.0"
-    try:
-        stream = run_once(benchmark, _record_flap_stream)
-        incremental_s, incremental = _best_seconds(
-            lambda: evaluate_stream(stream, use_delta=True)
-        )
-        rebuild_s, oracle = _best_seconds(
-            lambda: evaluate_stream(stream, use_delta=False)
-        )
-    finally:
-        del os.environ["MFV_DELTA_THRESHOLD"]
+    monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
+    stream = run_once(benchmark, _record_flap_stream)
+    incremental_s, incremental = _best_seconds(
+        lambda: evaluate_stream(stream, use_delta=True)
+    )
+    rebuild_s, oracle = _best_seconds(
+        lambda: evaluate_stream(stream, use_delta=False)
+    )
 
     assert incremental.intervals == oracle.intervals
     assert incremental.fallbacks == 0

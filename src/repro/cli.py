@@ -95,8 +95,12 @@ import sys
 
 from repro.core.pipeline import ModelFreeBackend, NativeBatfishBackend, phase
 from repro.core.snapshot import Snapshot
+from repro.ensemble.runner import DEFAULT_SEEDS
 from repro.obs import ConvergenceTimeline, read_jsonl, summary_text, tracing, write_jsonl
 from repro.pybf.session import Session
+from repro.service.jobs import DEFAULT_QUEUE_DEPTH
+from repro.service.store import DEFAULT_CAPACITY
+from repro.service.workers import DEFAULT_WORKERS
 from repro.topo.parser import load_topology
 from repro.verify.engine import engine_for
 from repro.verify.invariants import detect_blackholes, detect_loops
@@ -762,11 +766,9 @@ def _cmd_obs_waterfall(args: argparse.Namespace) -> int:
 
 def _cmd_obs_metrics(args: argparse.Namespace) -> int:
     from repro.obs import read_metrics_jsonl, render_prometheus
-    from repro.obs.metrics import exposition_format
 
     registry = read_metrics_jsonl(args.trace_file)
-    fmt = args.format or exposition_format()
-    if fmt == "records":
+    if args.format == "records":
         import json
 
         for record in registry.collect():
@@ -781,10 +783,12 @@ def _cmd_obs_metrics(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     import signal as signal_mod
 
-    from repro.service import VerificationService
+    from repro.service import SnapshotStore, VerificationService
     from repro.service.frontend import serve_loop
 
     kwargs = {
+        # Sized before recovery re-registers the journaled snapshots.
+        "store": SnapshotStore(capacity=args.store),
         "workers": args.workers,
         "max_queue_depth": args.queue_depth,
         "worker_mode": args.worker_mode,
@@ -804,8 +808,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         )
     else:
         service = VerificationService(journal_dir=args.journal, **kwargs)
-    if args.store is not None:
-        service.store.capacity = max(1, args.store)
     for path in args.snapshots:
         name, fingerprint = service.load_snapshot(path)
         print(
@@ -1099,9 +1101,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="production corpus routes per peer",
     )
     ensemble.add_argument(
-        "--seeds", default=None,
+        "--seeds", default=str(DEFAULT_SEEDS),
         help="a count (\"8\" = seeds 0..7) or a comma list (\"1,5,9\"); "
-        "default: MFV_ENSEMBLE_SEEDS",
+        "default: %(default)s",
     )
     ensemble.add_argument(
         "--plans",
@@ -1138,9 +1140,9 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=1,
         help="shard the (seed x plan) matrix across N worker processes; "
-        "default: MFV_ENSEMBLE_WORKERS",
+        "default: %(default)s (sequential)",
     )
     ensemble.add_argument("--quiet-period", type=float, default=None)
     ensemble.add_argument(
@@ -1269,8 +1271,8 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument(
         "--format",
         choices=("prometheus", "records"),
-        default=None,
-        help="output shape (default: MFV_METRICS_FORMAT or prometheus)",
+        default="prometheus",
+        help="output shape (default: %(default)s)",
     )
     metrics.set_defaults(func=_cmd_obs_metrics)
 
@@ -1281,25 +1283,23 @@ def build_parser() -> argparse.ArgumentParser:
         "snapshots", nargs="*", help="snapshot JSON files to preload"
     )
     serve.add_argument(
-        "--workers", type=int, default=None,
-        help="worker threads (default: MFV_SERVICE_WORKERS or 2)",
+        "--workers", type=int, default=DEFAULT_WORKERS,
+        help="worker threads or processes (default: %(default)s)",
     )
     serve.add_argument(
-        "--queue-depth", type=int, default=None,
-        help="admission-control watermark "
-        "(default: MFV_SERVICE_QUEUE_DEPTH or 64)",
+        "--queue-depth", type=int, default=DEFAULT_QUEUE_DEPTH,
+        help="admission-control watermark (default: %(default)s)",
     )
     serve.add_argument(
-        "--store", type=int, default=None,
-        help="resident snapshot capacity (default: MFV_SERVICE_STORE or 8)",
+        "--store", type=int, default=DEFAULT_CAPACITY,
+        help="resident snapshot capacity (default: %(default)s)",
     )
     serve.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
     )
     serve.add_argument(
         "--journal", default=None, metavar="DIR",
-        help="durable job journal directory "
-        "(default: MFV_JOURNAL_DIR; required by --recover)",
+        help="durable job journal directory (required by --recover)",
     )
     serve.add_argument(
         "--recover", action="store_true",
@@ -1307,9 +1307,9 @@ def build_parser() -> argparse.ArgumentParser:
         "requeue unsettled jobs, dead-letter past the redelivery limit",
     )
     serve.add_argument(
-        "--worker-mode", choices=("thread", "process"), default=None,
-        help="worker isolation (default: MFV_SERVICE_WORKER_MODE or "
-        "thread); process workers are supervised and crash-isolated",
+        "--worker-mode", choices=("thread", "process"), default="thread",
+        help="worker isolation (default: %(default)s); process workers "
+        "are supervised and crash-isolated",
     )
     serve.set_defaults(func=_cmd_serve)
 
@@ -1330,7 +1330,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="interactive | differential | campaign",
     )
     submit.add_argument("--timeout", type=float, default=None)
-    submit.add_argument("--workers", type=int, default=None)
+    submit.add_argument("--workers", type=int, default=DEFAULT_WORKERS)
     submit.set_defaults(func=_cmd_submit)
 
     return parser

@@ -222,7 +222,7 @@ class DataplaneDelta:
         lists), so a change the second hop reverts nets out to nothing:
         composition is exact, not an over-approximation. The checkpoint
         recorder uses this to merge adjacent checkpoints when a
-        convergence storm exceeds ``MFV_TEMPORAL_MAX_CHECKPOINTS``.
+        convergence storm exceeds its ``max_checkpoints`` cap.
 
         The two deltas must chain: ``second.base`` is (or forwards
         identically to) ``first.target``. Device-set churn in either hop

@@ -49,7 +49,7 @@ from repro.ensemble.verdicts import (
 )
 from repro.obs import bus
 from repro.protocols.timers import PRODUCTION_TIMERS, TimerProfile
-from repro.service.store import SnapshotStore, env_int
+from repro.service.store import SnapshotStore
 from repro.topo.model import Topology
 
 logger = logging.getLogger(__name__)
@@ -388,7 +388,7 @@ class EnsembleRunner:
         topology: Topology,
         *,
         context: Optional[ScenarioContext] = None,
-        seeds: Optional[Sequence[int]] = None,
+        seeds: Sequence[int] = range(DEFAULT_SEEDS),
         plans: Optional[Sequence[Optional[FaultPlan]]] = None,
         invariants: Optional[Sequence[EnsembleInvariant]] = None,
         temporal=None,
@@ -400,8 +400,6 @@ class EnsembleRunner:
     ) -> None:
         self.topology = topology
         self.context = context if context is not None else ScenarioContext()
-        if seeds is None:
-            seeds = range(env_int("MFV_ENSEMBLE_SEEDS", DEFAULT_SEEDS))
         self.seeds = tuple(seeds)
         plan_list = list(plans) if plans else [None]
         self.plans = plan_list
@@ -434,26 +432,20 @@ class EnsembleRunner:
         """(seed, plan) members in submission order: seeds major."""
         return [(seed, plan) for seed in self.seeds for plan in self.plans]
 
-    def run(self, workers: Optional[int] = None) -> EnsembleReport:
+    def run(self, workers: int = 1) -> EnsembleReport:
         """Execute every member and fold the verdicts.
 
-        ``workers > 1`` (default: ``MFV_ENSEMBLE_WORKERS``) shards the
-        matrix round-robin across a process pool, one warm backend per
-        shard; falls back to the sequential path when the pool cannot
-        start, like the what-if campaign.
+        ``workers > 1`` shards the matrix round-robin across a process
+        pool, one warm backend per shard; falls back to the sequential
+        path when the pool cannot start, like the what-if campaign.
         """
-        count = (
-            workers
-            if workers is not None
-            else env_int("MFV_ENSEMBLE_WORKERS", 1)
-        )
         members = self.matrix
         records = None
         used = 1
-        if count > 1 and len(members) > 1:
+        if workers > 1 and len(members) > 1:
             try:
-                records = self._run_parallel(members, count)
-                used = min(count, len(members))
+                records = self._run_parallel(members, workers)
+                used = min(workers, len(members))
             except Exception as exc:  # pool unavailable (sandbox, pickling)
                 logger.warning(
                     "process-pool ensemble failed (%s); running sequentially",

@@ -11,7 +11,6 @@ Supports the paths the model-free pipeline uses:
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Optional, Union
@@ -58,18 +57,10 @@ class ExtractionError(GnmiError):
         )
 
 
-def _env_int(name: str, default: int, minimum: int = 1) -> int:
-    try:
-        return max(minimum, int(os.environ.get(name, default)))
-    except (TypeError, ValueError):
-        return default
-
-
-def _env_float(name: str, default: float, minimum: float = 0.0) -> float:
-    try:
-        return max(minimum, float(os.environ.get(name, default)))
-    except (TypeError, ValueError):
-        return default
+#: Retry backoff in simulated seconds: attempt ``n`` waits
+#: ``BACKOFF_BASE * 2**(n-1)``, never more than ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.5
+BACKOFF_CAP = 8.0
 
 
 class GnmiServer:
@@ -290,9 +281,7 @@ def extract_afts(
     deployment,
     nodes: Optional[Iterable[str]] = None,
     *,
-    max_attempts: Optional[int] = None,
-    backoff_base: Optional[float] = None,
-    backoff_cap: Optional[float] = None,
+    max_attempts: int = 4,
 ) -> ExtractionReport:
     """gNMI-extract AFT snapshots with retry, backoff, and degradation.
 
@@ -312,17 +301,10 @@ def extract_afts(
     * a node still failing after the budget lands in the ``degraded``
       manifest with a reason, never silently in the result.
 
-    Budgets default from ``MFV_CHAOS_RETRIES`` / ``MFV_CHAOS_BACKOFF`` /
-    ``MFV_CHAOS_BACKOFF_CAP``. ``nodes`` restricts extraction to a
-    subset of devices; unknown names raise ``KeyError`` rather than
-    silently narrowing the snapshot.
+    ``nodes`` restricts extraction to a subset of devices; unknown
+    names raise ``KeyError`` rather than silently narrowing the
+    snapshot.
     """
-    if max_attempts is None:
-        max_attempts = _env_int("MFV_CHAOS_RETRIES", 4)
-    if backoff_base is None:
-        backoff_base = _env_float("MFV_CHAOS_BACKOFF", 0.5)
-    if backoff_cap is None:
-        backoff_cap = _env_float("MFV_CHAOS_BACKOFF_CAP", 8.0)
     if nodes is not None:
         wanted = set(nodes)
         unknown = wanted - set(deployment.routers)
@@ -356,7 +338,7 @@ def extract_afts(
                 # Capped exponential backoff in simulated time; running
                 # the kernel forward lets restart/fault-expiry events
                 # fire, so a retry can actually observe a healed target.
-                delay = min(backoff_cap, backoff_base * (2 ** (attempt - 1)))
+                delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
                 registry = bus.metrics_registry()
                 if registry.enabled:
                     registry.counter(

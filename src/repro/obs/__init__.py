@@ -21,7 +21,7 @@ disabled cost negligible even in the kernel's dispatch loop. The
 metrics plane has the same property: sites ask
 :func:`~repro.obs.bus.metrics_registry` (the installed tracer's
 registry, else the process-wide :data:`~repro.obs.metrics.DEFAULT`)
-and skip all work when it is disabled (``MFV_METRICS_ENABLED=0``).
+and skip all work when it is disabled (``MetricsRegistry(enabled=False)``).
 """
 
 from repro.obs import bus, metrics

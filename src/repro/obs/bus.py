@@ -287,9 +287,8 @@ def metrics_registry() -> _metrics.MetricsRegistry:
     Resolution order: a recording tracer's own registry (so traced
     runs export their metrics with the trace), then the calling
     thread's job-scope registry (a worker running a service job), then
-    the process-wide :data:`repro.obs.metrics.DEFAULT` plane — enabled
-    unless ``MFV_METRICS_ENABLED=0``. Hot paths call this once per
-    operation, not per loop iteration.
+    the process-wide :data:`repro.obs.metrics.DEFAULT` plane (enabled).
+    Hot paths call this once per operation, not per loop iteration.
     """
     registry = getattr(ACTIVE, "registry", None)
     if registry is not None:

@@ -11,17 +11,17 @@ coalescing and shed rates, chaos retry/backoff.
 Design constraints, in order:
 
 1. **Cheap enough to leave on.** The registry is enabled by default
-   (``MFV_METRICS_ENABLED=0`` disables it); a disabled registry's
-   families are shared no-op singletons, so instrumentation costs one
-   attribute load and a false branch — the same budget as the event
-   bus. ``BENCH_obs.json`` holds the enabled/disabled wall-time ratio
+   (``MetricsRegistry(enabled=False)`` is the off switch); a disabled
+   registry's families are shared no-op singletons, so instrumentation
+   costs one attribute load and a false branch — the same budget as
+   the event bus. ``BENCH_obs.json`` holds the enabled/disabled wall-time ratio
    under 5% on the production verify workload.
 2. **Two time dimensions.** Pipeline stages advance a *simulated*
    clock while extraction/verification burn *wall* time with the
    simulated clock frozen, so histograms pick their default bucket
-   boundaries by ``unit``: ``"wall"`` (sub-millisecond to a minute) or
-   ``"sim"`` (sub-second to hours). ``MFV_METRICS_BUCKETS`` /
-   ``MFV_METRICS_SIM_BUCKETS`` override the defaults process-wide.
+   boundaries by ``unit``: ``"wall"`` (:data:`WALL_BUCKETS`,
+   sub-millisecond to a minute) or ``"sim"`` (:data:`SIM_BUCKETS`,
+   sub-second to hours); a family can pass its own ``buckets``.
 3. **No dependencies.** Prometheus text exposition
    (:func:`render_prometheus`) and JSONL records
    (:meth:`MetricsRegistry.collect`) are rendered by hand; quantiles
@@ -36,7 +36,6 @@ two is :func:`repro.obs.bus.metrics_registry`.
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left
 from typing import Iterable, Optional, Sequence, Union
@@ -49,10 +48,7 @@ __all__ = [
     "MetricsRegistry",
     "SIM_BUCKETS",
     "WALL_BUCKETS",
-    "default_buckets",
     "diff_records",
-    "enabled_from_env",
-    "exposition_format",
     "render_prometheus",
 ]
 
@@ -70,44 +66,6 @@ SIM_BUCKETS: tuple[float, ...] = (
     0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 120.0,
     300.0, 600.0, 1800.0, 3600.0, 7200.0,
 )
-
-
-def _env_buckets(name: str, default: tuple[float, ...]) -> tuple[float, ...]:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        bounds = tuple(sorted(float(part) for part in raw.split(",") if part))
-    except ValueError:
-        return default
-    return bounds or default
-
-
-def default_buckets(unit: str = "wall") -> tuple[float, ...]:
-    """The default bucket boundaries for ``unit`` (``wall`` or ``sim``),
-    honoring the ``MFV_METRICS_BUCKETS`` / ``MFV_METRICS_SIM_BUCKETS``
-    overrides (comma-separated upper bounds in seconds)."""
-    if unit == "sim":
-        return _env_buckets("MFV_METRICS_SIM_BUCKETS", SIM_BUCKETS)
-    return _env_buckets("MFV_METRICS_BUCKETS", WALL_BUCKETS)
-
-
-def enabled_from_env() -> bool:
-    """Registry enablement: on unless ``MFV_METRICS_ENABLED`` is falsy."""
-    raw = os.environ.get("MFV_METRICS_ENABLED")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-def exposition_format() -> str:
-    """The default exposition format (``MFV_METRICS_FORMAT``):
-    ``prometheus`` (text exposition) or ``records`` (the JSONL record
-    list; ``json``/``jsonl`` are accepted aliases)."""
-    fmt = os.environ.get("MFV_METRICS_FORMAT", "prometheus").strip().lower()
-    if fmt in ("records", "json", "jsonl"):
-        return "records"
-    return "prometheus"
 
 
 def _label_key(labels: dict) -> tuple:
@@ -364,8 +322,8 @@ class MetricsRegistry:
     unless they want to skip building label values.
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = enabled_from_env() if enabled is None else enabled
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = enabled
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
 
@@ -402,7 +360,7 @@ class MetricsRegistry:
         unit: str = "wall",
     ) -> Histogram:
         if buckets is None:
-            buckets = default_buckets(unit)
+            buckets = SIM_BUCKETS if unit == "sim" else WALL_BUCKETS
         return self._family(
             Histogram, name, help, labelnames, buckets=buckets
         )

@@ -4,8 +4,8 @@ A snapshot whose verifications keep failing or coming back degraded —
 its content left the store every time, its extraction is broken, its
 engine build OOMs a worker — will keep failing for every caller. The
 classic remedy: count consecutive failures per breaker key (the
-snapshot's content fingerprint), and past ``MFV_BREAKER_THRESHOLD``
-*open* the breaker. While open, submissions against that content settle
+snapshot's content fingerprint), and past ``threshold`` *open* the
+breaker. While open, submissions against that content settle
 immediately with a structured :class:`BreakerOpenError` carrying an
 ``UNKNOWN_DEGRADED`` verdict — milliseconds, no queue slot, no worker.
 After ``cooldown_s`` the breaker goes *half-open*: exactly one probe
@@ -26,14 +26,11 @@ from enum import Enum
 from typing import Any, Callable, Optional
 
 from repro.service.jobs import JobFailedError
-from repro.service.store import env_float, env_int
 
-#: Consecutive failures that open a breaker
-#: (override: ``MFV_BREAKER_THRESHOLD``).
+#: Consecutive failures that open a breaker.
 DEFAULT_BREAKER_THRESHOLD = 5
 
-#: Seconds an open breaker waits before admitting a half-open probe
-#: (override: ``MFV_BREAKER_COOLDOWN_S``).
+#: Seconds an open breaker waits before admitting a half-open probe.
 DEFAULT_BREAKER_COOLDOWN_S = 30.0
 
 
@@ -110,21 +107,13 @@ class BreakerBoard:
 
     def __init__(
         self,
-        threshold: Optional[int] = None,
-        cooldown_s: Optional[float] = None,
+        threshold: int = DEFAULT_BREAKER_THRESHOLD,
+        cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
         on_transition: Optional[
             Callable[[Any, BreakerState, BreakerState, int], None]
         ] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if threshold is None:
-            threshold = env_int(
-                "MFV_BREAKER_THRESHOLD", DEFAULT_BREAKER_THRESHOLD
-            )
-        if cooldown_s is None:
-            cooldown_s = env_float(
-                "MFV_BREAKER_COOLDOWN_S", DEFAULT_BREAKER_COOLDOWN_S
-            )
         self.threshold = max(1, threshold)
         self.cooldown_s = max(0.0, cooldown_s)
         self.on_transition = on_transition

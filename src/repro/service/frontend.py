@@ -28,10 +28,9 @@ service (admission control included). Ops:
     The structured dead-letter list — jobs abandoned after redelivery
     exhaustion.
 ``{"op": "metrics", "format": "prometheus"|"records"}``
-    The service's metrics plane. ``prometheus`` (the default, or set
-    ``MFV_METRICS_FORMAT=records``) returns text exposition in a
-    ``"text"`` field; ``records`` returns the JSONL-shaped record list
-    in a ``"records"`` field.
+    The service's metrics plane. ``prometheus`` (the default) returns
+    text exposition in a ``"text"`` field; ``records`` returns the
+    JSONL-shaped record list in a ``"records"`` field.
 ``{"op": "shutdown"}``
     Stop the loop (the caller owns worker shutdown).
 
@@ -47,7 +46,7 @@ import sys
 from collections import OrderedDict
 from typing import Any, Optional, TextIO
 
-from repro.obs.metrics import exposition_format, render_prometheus
+from repro.obs.metrics import render_prometheus
 from repro.service.jobs import (
     Job,
     JobFailedError,
@@ -209,7 +208,7 @@ class ServiceFrontend:
                     ],
                 }, True
             if op == "metrics":
-                fmt = request.get("format") or exposition_format()
+                fmt = request.get("format") or "prometheus"
                 if fmt == "records":
                     return {
                         "ok": True,

@@ -25,6 +25,9 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Any, Callable, Optional
 
+#: Default admission-control watermark of a :class:`JobQueue`.
+DEFAULT_QUEUE_DEPTH = 64
+
 
 class JobPriority(IntEnum):
     """Priority classes, best first. Lower value wins the queue."""
@@ -239,7 +242,7 @@ class Job:
 class JobQueue:
     """Priority classes with FIFO inside each, bounded by a watermark."""
 
-    def __init__(self, max_depth: int = 64) -> None:
+    def __init__(self, max_depth: int = DEFAULT_QUEUE_DEPTH) -> None:
         self.max_depth = max(1, max_depth)
         # Heap entries are (priority, seq, job): seq gives FIFO within a
         # class and makes the *newest* lowest-priority entry the shed

@@ -13,7 +13,7 @@ redelivery limit are dead-lettered with a structured record instead of
 looping forever.
 
 Format: one JSON object per line (sorted keys), append-only, fsynced
-every ``MFV_JOURNAL_FSYNC_BATCH`` records (and on every explicit
+every ``fsync_batch`` records (and on every explicit
 ``flush``).  A torn final line — the crash happened mid-write — is
 skipped on replay, which is exactly the write-ahead contract: a job
 whose submit record never made it durable was never accepted.
@@ -39,15 +39,13 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.core.snapshot import Snapshot
-from repro.service.store import env_int
 
 logger = logging.getLogger(__name__)
 
-#: Records buffered between fsyncs (override: ``MFV_JOURNAL_FSYNC_BATCH``).
+#: Records buffered between fsyncs.
 DEFAULT_FSYNC_BATCH = 8
 
-#: Redeliveries before a recovered job dead-letters
-#: (override: ``MFV_REDELIVERY_LIMIT``).
+#: Redeliveries before a recovered job dead-letters.
 DEFAULT_REDELIVERY_LIMIT = 3
 
 JOURNAL_FILE = "journal.jsonl"
@@ -116,12 +114,8 @@ class JobJournal:
     def __init__(
         self,
         journal_dir: Union[str, Path],
-        fsync_batch: Optional[int] = None,
+        fsync_batch: int = DEFAULT_FSYNC_BATCH,
     ) -> None:
-        if fsync_batch is None:
-            fsync_batch = env_int(
-                "MFV_JOURNAL_FSYNC_BATCH", DEFAULT_FSYNC_BATCH
-            )
         self.dir = Path(journal_dir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.path = self.dir / JOURNAL_FILE

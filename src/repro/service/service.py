@@ -22,7 +22,6 @@ seconds since the service's epoch. The ``service.*`` counters and
 from __future__ import annotations
 
 import logging
-import os
 import pickle
 import tempfile
 import threading
@@ -34,8 +33,15 @@ from repro.core.snapshot import Snapshot
 from repro.obs import bus
 from repro.obs.metrics import MetricsRegistry
 from repro.pybf.session import Session, SessionError
-from repro.service.breakers import BreakerBoard, BreakerOpenError, BreakerState
+from repro.service.breakers import (
+    DEFAULT_BREAKER_COOLDOWN_S,
+    DEFAULT_BREAKER_THRESHOLD,
+    BreakerBoard,
+    BreakerOpenError,
+    BreakerState,
+)
 from repro.service.jobs import (
+    DEFAULT_QUEUE_DEPTH,
     Job,
     JobPriority,
     JobQueue,
@@ -51,16 +57,11 @@ from repro.service.resilience import (
     load_manifest_snapshot,
     replay_journal,
 )
-from repro.service.store import DeploymentLostError, SnapshotStore, env_int
-from repro.service.supervisor import SupervisedProcessPool
-from repro.service.workers import WorkerPool
+from repro.service.store import DeploymentLostError, SnapshotStore
+from repro.service.supervisor import DEFAULT_HEARTBEAT_S, SupervisedProcessPool
+from repro.service.workers import DEFAULT_WORKERS, WorkerPool
 
 logger = logging.getLogger(__name__)
-
-#: Queue-depth watermark (override: ``MFV_SERVICE_QUEUE_DEPTH``).
-DEFAULT_QUEUE_DEPTH = 64
-#: Result-cache capacity (override: ``MFV_SERVICE_RESULT_CACHE``).
-DEFAULT_RESULT_CACHE = 256
 
 #: Questions whose ``answer()`` accepts a reference snapshot.
 _DIFFERENTIAL_QUESTIONS = frozenset({"differentialReachability", "routes"})
@@ -86,44 +87,25 @@ class VerificationService:
         self,
         *,
         store: Optional[SnapshotStore] = None,
-        workers: Optional[int] = None,
-        max_queue_depth: Optional[int] = None,
-        result_cache_size: Optional[int] = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.05,
+        workers: int = DEFAULT_WORKERS,
+        max_queue_depth: int = DEFAULT_QUEUE_DEPTH,
         journal_dir: Optional[Union[str, Path]] = None,
-        worker_mode: Optional[str] = None,
-        heartbeat_s: Optional[float] = None,
-        redelivery_limit: Optional[int] = None,
-        breaker_threshold: Optional[int] = None,
-        breaker_cooldown_s: Optional[float] = None,
+        worker_mode: str = "thread",
+        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
+        redelivery_limit: int = DEFAULT_REDELIVERY_LIMIT,
+        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
+        breaker_cooldown_s: float = DEFAULT_BREAKER_COOLDOWN_S,
     ) -> None:
-        if max_queue_depth is None:
-            max_queue_depth = env_int(
-                "MFV_SERVICE_QUEUE_DEPTH", DEFAULT_QUEUE_DEPTH
-            )
-        if result_cache_size is None:
-            result_cache_size = env_int(
-                "MFV_SERVICE_RESULT_CACHE", DEFAULT_RESULT_CACHE
-            )
-        if worker_mode is None:
-            worker_mode = os.environ.get("MFV_SERVICE_WORKER_MODE", "thread")
         if worker_mode not in ("thread", "process"):
             raise ValueError(
                 f"worker_mode must be 'thread' or 'process', "
                 f"got {worker_mode!r}"
             )
-        if journal_dir is None:
-            journal_dir = os.environ.get("MFV_JOURNAL_DIR") or None
         if journal_dir is None and worker_mode == "process":
             # Process workers adopt snapshots from the journal's
             # content-addressed manifest; without a caller-provided
             # directory the service runs one in a scratch location.
             journal_dir = tempfile.mkdtemp(prefix="mfv-journal-")
-        if redelivery_limit is None:
-            redelivery_limit = env_int(
-                "MFV_REDELIVERY_LIMIT", DEFAULT_REDELIVERY_LIMIT
-            )
         self.worker_mode = worker_mode
         self.redelivery_limit = max(0, redelivery_limit)
         self.journal: Optional[JobJournal] = (
@@ -138,7 +120,7 @@ class VerificationService:
         self.store = store if store is not None else SnapshotStore()
         self.session = Session(store=self.store)
         self.queue = JobQueue(max_depth=max_queue_depth)
-        self.results = ResultCache(result_cache_size)
+        self.results = ResultCache()
         if worker_mode == "process":
             self.pool: Union[WorkerPool, SupervisedProcessPool] = (
                 SupervisedProcessPool(
@@ -156,8 +138,6 @@ class VerificationService:
             self.pool = WorkerPool(
                 self.queue,
                 workers=workers,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
                 on_start=self._job_started,
                 on_done=self._job_settled,
                 on_retry=self._job_retried,

@@ -20,7 +20,6 @@ concurrent requests for the *same* fingerprint coalesce onto one build
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, Optional
@@ -29,34 +28,12 @@ from repro.core.snapshot import Snapshot
 from repro.obs import bus
 from repro.verify.engine import AtomGraphEngine, engine_for
 
-#: Default resident-snapshot capacity (override: ``MFV_SERVICE_STORE``).
+#: Default resident-snapshot capacity.
 DEFAULT_CAPACITY = 8
 
 #: How many lineage hops a delta-base search walks before giving up
-#: (override: ``MFV_DELTA_LINEAGE_DEPTH``; 0 disables delta derivation).
-DEFAULT_LINEAGE_DEPTH = 4
-
-
-def env_int(name: str, default: int, minimum: int = 1) -> int:
-    """An integer knob from the environment, clamped and fail-safe."""
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            return max(minimum, int(raw))
-        except ValueError:
-            pass
-    return default
-
-
-def env_float(name: str, default: float, minimum: float = 0.0) -> float:
-    """A float knob from the environment, clamped and fail-safe."""
-    raw = os.environ.get(name)
-    if raw:
-        try:
-            return max(minimum, float(raw))
-        except ValueError:
-            pass
-    return default
+#: (0 disables delta derivation).
+LINEAGE_DEPTH = 4
 
 
 class DeploymentLostError(RuntimeError):
@@ -121,13 +98,8 @@ class StoreEntry:
 class SnapshotStore:
     """LRU-bounded, fingerprint-keyed residence for converged snapshots."""
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is None:
-            capacity = env_int("MFV_SERVICE_STORE", DEFAULT_CAPACITY)
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = max(1, capacity)
-        self.lineage_depth = env_int(
-            "MFV_DELTA_LINEAGE_DEPTH", DEFAULT_LINEAGE_DEPTH, minimum=0
-        )
         self._entries: "OrderedDict[int, StoreEntry]" = OrderedDict()
         #: child fingerprint -> parent fingerprint; survives eviction of
         #: either side (it is metadata, not residence).
@@ -228,7 +200,7 @@ class SnapshotStore:
     def _delta_base(self, fingerprint: int) -> Optional[AtomGraphEngine]:
         """The nearest lineage ancestor with a resident *built* engine.
 
-        Walks child -> parent links up to ``lineage_depth`` hops —
+        Walks child -> parent links up to :data:`LINEAGE_DEPTH` hops —
         non-resident intermediates are skipped over, so a grandparent
         can still serve after its child was evicted. Returns None when
         nothing usable is found (the caller builds cold).
@@ -236,7 +208,7 @@ class SnapshotStore:
         with self._lock:
             seen = {fingerprint}
             current = fingerprint
-            for _ in range(self.lineage_depth):
+            for _ in range(LINEAGE_DEPTH):
                 parent = self._lineage.get(current)
                 if parent is None or parent in seen:
                     return None

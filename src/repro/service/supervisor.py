@@ -49,14 +49,11 @@ from repro.service.jobs import (
     JobState,
     JobTimeoutError,
 )
-from repro.service.store import env_float, env_int
+from repro.service.workers import DEFAULT_WORKERS
 
 logger = logging.getLogger(__name__)
 
-#: Default worker-process count (override: ``MFV_SERVICE_WORKERS``).
-DEFAULT_PROCESS_WORKERS = 2
-
-#: Heartbeat interval in seconds (override: ``MFV_WORKER_HEARTBEAT_S``).
+#: Heartbeat interval in seconds.
 DEFAULT_HEARTBEAT_S = 5.0
 
 #: Missed heartbeat intervals before a live-looking process is declared
@@ -185,20 +182,14 @@ class SupervisedProcessPool:
         queue: JobQueue,
         *,
         manifest_dir,
-        workers: Optional[int] = None,
-        heartbeat_s: Optional[float] = None,
+        workers: int = DEFAULT_WORKERS,
+        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         max_missed: int = DEFAULT_MAX_MISSED,
         on_start: Optional[Callable[[Job], None]] = None,
         on_done: Optional[Callable[[Job], None]] = None,
         on_requeue: Optional[Callable[[Job, str], bool]] = None,
         on_degraded: Optional[Callable[[Job], None]] = None,
     ) -> None:
-        if workers is None:
-            workers = env_int("MFV_SERVICE_WORKERS", DEFAULT_PROCESS_WORKERS)
-        if heartbeat_s is None:
-            heartbeat_s = env_float(
-                "MFV_WORKER_HEARTBEAT_S", DEFAULT_HEARTBEAT_S, minimum=0.05
-            )
         self.queue = queue
         self.manifest_dir = str(manifest_dir)
         self.workers = max(1, workers)

@@ -31,11 +31,11 @@ from typing import Callable, Optional
 
 from repro.obs import bus
 from repro.service.jobs import Job, JobQueue, JobTimeoutError
-from repro.service.store import DeploymentLostError, env_int
+from repro.service.store import DeploymentLostError
 
 logger = logging.getLogger(__name__)
 
-#: Default worker-thread count (override: ``MFV_SERVICE_WORKERS``).
+#: Default worker count, for thread and process pools alike.
 DEFAULT_WORKERS = 2
 
 
@@ -46,15 +46,13 @@ class WorkerPool:
         self,
         queue: JobQueue,
         *,
-        workers: Optional[int] = None,
+        workers: int = DEFAULT_WORKERS,
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         on_start: Optional[Callable[[Job], None]] = None,
         on_done: Optional[Callable[[Job], None]] = None,
         on_retry: Optional[Callable[[Job, BaseException], None]] = None,
     ) -> None:
-        if workers is None:
-            workers = env_int("MFV_SERVICE_WORKERS", DEFAULT_WORKERS)
         self.queue = queue
         self.workers = max(1, workers)
         self.max_retries = max(0, max_retries)

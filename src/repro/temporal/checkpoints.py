@@ -4,8 +4,8 @@ Every verdict the rest of the system emits is computed on a quiesced
 snapshot — this module records what the dataplane looked like *between*
 quiescences. A :class:`CheckpointRecorder` hooks the live routers' FIB
 change notifications, and whenever a `route.install` burst ends (the
-coalescing window ``MFV_TEMPORAL_COALESCE`` of simulated seconds passes
-with the capture pending), it dumps AFTs from just the dirty devices,
+coalescing window ``coalesce`` of simulated seconds passes with the
+capture pending), it dumps AFTs from just the dirty devices,
 evolves the previous dataplane around them
 (:meth:`~repro.dataplane.model.Dataplane.evolve` shares every untouched
 device object), and stores the resulting
@@ -20,7 +20,7 @@ checkpoint even with a zero-width window. The window is a throttle, not
 a debounce — sustained churn still yields a checkpoint per window, so a
 slow convergence cannot starve the stream.
 
-``MFV_TEMPORAL_MAX_CHECKPOINTS`` bounds stream length: past the cap,
+``max_checkpoints`` bounds stream length: past the cap,
 the recorder merges the adjacent pair of interior checkpoints spanning
 the smallest time window, fusing their deltas with
 :meth:`DataplaneDelta.compose` — endpoints are never dropped, so the
@@ -31,7 +31,6 @@ degrades.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -44,34 +43,14 @@ from repro.obs import bus
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kube.kne import KneDeployment
 
-_DEFAULT_COALESCE = 0.25
-_DEFAULT_MAX_CHECKPOINTS = 256
+#: Default capture window in simulated seconds (``coalesce``).
+DEFAULT_COALESCE = 0.25
+#: Default stream-length cap (``max_checkpoints``).
+DEFAULT_MAX_CHECKPOINTS = 256
 # Above every protocol/chaos event priority: a capture at time t runs
 # only after everything else scheduled at t, so one sim-instant's
 # install burst is always seen whole.
 _CAPTURE_PRIORITY = 1 << 30
-
-
-def _coalesce_window() -> float:
-    """``MFV_TEMPORAL_COALESCE`` (simulated seconds, >= 0)."""
-    raw = os.environ.get("MFV_TEMPORAL_COALESCE", "")
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            pass
-    return _DEFAULT_COALESCE
-
-
-def _max_checkpoints() -> int:
-    """``MFV_TEMPORAL_MAX_CHECKPOINTS`` (>= 2: endpoints survive)."""
-    raw = os.environ.get("MFV_TEMPORAL_MAX_CHECKPOINTS", "")
-    if raw:
-        try:
-            return max(2, int(raw))
-        except ValueError:
-            pass
-    return _DEFAULT_MAX_CHECKPOINTS
 
 
 @dataclass
@@ -210,19 +189,14 @@ class CheckpointRecorder:
         self,
         deployment: "KneDeployment",
         *,
-        coalesce: Optional[float] = None,
-        max_checkpoints: Optional[int] = None,
+        coalesce: float = DEFAULT_COALESCE,
+        max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
     ) -> None:
         self.deployment = deployment
         self.kernel = deployment.kernel
-        self.coalesce = (
-            _coalesce_window() if coalesce is None else max(0.0, coalesce)
-        )
-        self.max_checkpoints = (
-            _max_checkpoints()
-            if max_checkpoints is None
-            else max(2, max_checkpoints)
-        )
+        self.coalesce = max(0.0, coalesce)
+        # >= 2: the initial and final states always survive compaction.
+        self.max_checkpoints = max(2, max_checkpoints)
         self.checkpoints: list[Checkpoint] = []
         #: Adjacent-checkpoint merges performed to respect the cap.
         self.compactions = 0

@@ -10,7 +10,7 @@ every checkpoint. Findings are stitched into
 precomputed engine per checkpoint, identical interval logic. The test
 suite holds the two modes to row-for-row equality; the benchmark holds
 them ≥5× apart in wall time. When a delta is structurally unappliable
-(or dirties more atoms than ``MFV_DELTA_THRESHOLD`` allows), the
+(or dirties more atoms than the engine's ``DELTA_THRESHOLD`` allows), the
 incremental mode falls back to a cold build for that step and keeps
 going — correctness never depends on the fast path being available.
 

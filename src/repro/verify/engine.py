@@ -39,7 +39,6 @@ stop rebuilding identical analyses.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 import time
 from bisect import bisect_right
@@ -58,10 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 logger = logging.getLogger(__name__)
 
-#: Default ceiling on the dirty-atom fraction a delta apply will patch;
-#: above it a cold build is cheaper than the bookkeeping. Override with
-#: ``MFV_DELTA_THRESHOLD`` (a float in (0, 1]).
-_DELTA_THRESHOLD = 0.35
+#: Ceiling on the dirty-atom fraction a delta apply will patch; above
+#: it a cold build is cheaper than the bookkeeping (a float in (0, 1]).
+DELTA_THRESHOLD = 0.35
 
 #: Buckets for the ``verify.dirty_atoms`` histogram: dirty-atom counts,
 #: not seconds — single-link churn lands in the low buckets, and the
@@ -70,24 +68,6 @@ DIRTY_ATOM_BUCKETS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0,
 )
-
-
-def _delta_threshold() -> float:
-    """The dirty-atom fraction above which delta derivation falls back
-    to a full build (``MFV_DELTA_THRESHOLD``, default 0.35)."""
-    raw = os.environ.get("MFV_DELTA_THRESHOLD")
-    if raw:
-        try:
-            value = float(raw)
-        except ValueError:
-            logger.warning("ignoring non-float MFV_DELTA_THRESHOLD=%r", raw)
-        else:
-            if 0.0 < value <= 1.0:
-                return value
-            logger.warning(
-                "ignoring out-of-range MFV_DELTA_THRESHOLD=%r", raw
-            )
-    return _DELTA_THRESHOLD
 
 
 def _prefix_indexes(prefixes, reps: list[int]) -> set[int]:
@@ -304,7 +284,7 @@ class AtomGraphEngine:
         Requires this engine's atoms to be a sorted full-cover partition
         (true for everything :func:`engine_for` builds). Raises
         :class:`DeltaUnapplicable` — device-set or ACL changes, or a
-        dirty fraction above ``MFV_DELTA_THRESHOLD`` — when a cold build
+        dirty fraction above :data:`DELTA_THRESHOLD` — when a cold build
         is the correct (or cheaper) move; the caller falls back.
         """
         start = time.perf_counter()
@@ -466,7 +446,7 @@ class AtomGraphEngine:
                 elif before is not after and before != after:
                     dirty_set.add(index)
                     break
-        if atoms and len(dirty_set) / len(atoms) > _delta_threshold():
+        if atoms and len(dirty_set) / len(atoms) > DELTA_THRESHOLD:
             raise DeltaUnapplicable("dirty-fraction")
 
         # (c) Patch: rebuild dirty atoms (graph assembly + SCC run),
@@ -804,24 +784,14 @@ def _compute_shard(payload) -> dict[int, dict[str, AtomVerdict]]:
 
 # -- the per-snapshot engine cache ------------------------------------------
 
+#: Engines the module-level LRU keeps resident.
+CACHE_LIMIT = 8
 _CACHE: OrderedDict[tuple, AtomGraphEngine] = OrderedDict()
-_CACHE_LIMIT = 8  # default; override per process with MFV_ENGINE_CACHE
 _CACHE_LOCK = threading.Lock()
 # key -> build lock, so concurrent engine_for calls for the *same*
 # forwarding state coalesce onto one build while distinct states still
 # build in parallel (the service's worker threads hit this constantly).
 _BUILDS: dict[tuple, threading.Lock] = {}
-
-
-def _cache_limit() -> int:
-    """The engine cache capacity (``MFV_ENGINE_CACHE``, default 8)."""
-    raw = os.environ.get("MFV_ENGINE_CACHE")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            logger.warning("ignoring non-integer MFV_ENGINE_CACHE=%r", raw)
-    return _CACHE_LIMIT
 
 
 def _atoms_signature(atoms: Optional[Sequence[IntervalSet]]) -> int:
@@ -860,8 +830,7 @@ def _register_engine(key: tuple, engine: AtomGraphEngine) -> AtomGraphEngine:
                 bus.ACTIVE.count("verify.engine_build_discarded")
             return existing
         _CACHE[key] = engine
-        limit = _cache_limit()
-        while len(_CACHE) > limit:
+        while len(_CACHE) > CACHE_LIMIT:
             _CACHE.popitem(last=False)
             if bus.ACTIVE.enabled:
                 bus.ACTIVE.count("verify.engine_cache_evictions")
@@ -943,7 +912,7 @@ def engine_for(
     is *derived* from it via :meth:`AtomGraphEngine.apply_delta` —
     patching only the atoms the FIB churn dirtied — and only falls back
     to a cold build when the delta is structurally unapplicable or
-    exceeds ``MFV_DELTA_THRESHOLD`` (the fallback engine carries the
+    exceeds :data:`DELTA_THRESHOLD` (the fallback engine carries the
     reason in its ``delta_stats``). Lineage only composes with the
     default partition (``atoms is None``).
 

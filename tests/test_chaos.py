@@ -28,6 +28,7 @@ from repro.core.pipeline import ModelFreeBackend
 from repro.core.snapshot import PartialSnapshot, Snapshot
 from repro.corpus.fig2 import fig2_scenario
 from repro.dataplane.forwarding import Disposition, ForwardingWalk
+from repro.gnmi import server as gnmi_server
 from repro.gnmi.server import ExtractionError, dump_afts, extract_afts
 from repro.kube.kne import ConvergenceTimeout, KneDeployment
 from repro.obs import ConvergenceTimeline, tracing
@@ -118,6 +119,24 @@ class TestGnmiFaultInjection:
         assert injector.fired("gnmi-flake") == 2
         assert tracer.counters["gnmi.retry"] == 2
         assert set(report.afts) == set(deployment.routers)
+
+    def test_backoff_doubles_up_to_the_cap(self, deployment, monkeypatch):
+        monkeypatch.setattr(gnmi_server, "BACKOFF_BASE", 2.0)
+        monkeypatch.setattr(gnmi_server, "BACKOFF_CAP", 3.0)
+        self.arm(
+            deployment, FaultPlan(faults=(GnmiFlake(node="r1", failures=3),))
+        )
+        with tracing() as tracer:
+            report = extract_afts(deployment)
+        assert report.retries["r1"] == 3
+        (backoff,) = [
+            record
+            for record in tracer.registry.collect()
+            if record["name"] == "gnmi.retry_backoff_sim_seconds"
+        ]
+        # Delays 2, then min(3, 4), then min(3, 8) simulated seconds.
+        assert backoff["count"] == 3
+        assert backoff["sum"] == 8.0
 
     def test_flake_exhaustion_degrades(self, deployment):
         plan = FaultPlan(faults=(GnmiFlake(node="r1", failures=99),))

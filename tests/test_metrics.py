@@ -14,18 +14,17 @@ import threading
 import pytest
 
 from repro.obs import bus, read_jsonl, tracing, write_jsonl
+from repro.obs import metrics as obs_metrics
 from repro.obs.export import (
     read_metrics_jsonl,
     write_metrics_jsonl,
 )
 from repro.obs.metrics import (
     DEFAULT,
-    MetricsRegistry,
+    SIM_BUCKETS,
     WALL_BUCKETS,
-    default_buckets,
+    MetricsRegistry,
     diff_records,
-    enabled_from_env,
-    exposition_format,
     render_prometheus,
 )
 from repro.obs.timeline import waterfall_text
@@ -94,9 +93,16 @@ class TestRegistry:
         registry = MetricsRegistry(enabled=True)
         wall = registry.histogram("w")
         sim = registry.histogram("s", unit="sim")
-        assert wall.buckets == default_buckets("wall")
-        assert sim.buckets == default_buckets("sim")
+        assert wall.buckets == WALL_BUCKETS
+        assert sim.buckets == SIM_BUCKETS
         assert wall.buckets != sim.buckets
+
+    def test_default_buckets_read_the_module_constants(self, monkeypatch):
+        monkeypatch.setattr(obs_metrics, "WALL_BUCKETS", (0.25, 0.5, 1.0))
+        monkeypatch.setattr(obs_metrics, "SIM_BUCKETS", (10.0, 100.0))
+        registry = MetricsRegistry(enabled=True)
+        assert registry.histogram("w").buckets == (0.25, 0.5, 1.0)
+        assert registry.histogram("s", unit="sim").buckets == (10.0, 100.0)
 
     def test_disabled_registry_is_noop(self):
         registry = MetricsRegistry(enabled=False)
@@ -116,23 +122,9 @@ class TestRegistry:
         hist.observe(1.0, p="y")
         assert registry.series_count() == 3
 
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("MFV_METRICS_ENABLED", "0")
-        assert not enabled_from_env()
-        assert not MetricsRegistry().enabled
-        monkeypatch.setenv("MFV_METRICS_ENABLED", "yes")
-        assert enabled_from_env()
-        monkeypatch.setenv("MFV_METRICS_BUCKETS", "0.5,0.25,1")
-        assert default_buckets("wall") == (0.25, 0.5, 1.0)
-        monkeypatch.setenv("MFV_METRICS_BUCKETS", "garbage")
-        assert default_buckets("wall") == WALL_BUCKETS
-        monkeypatch.setenv("MFV_METRICS_FORMAT", "json")
-        assert exposition_format() == "records"
-        monkeypatch.setenv("MFV_METRICS_FORMAT", "bogus")
-        assert exposition_format() == "prometheus"
-
     def test_default_registry_exists_and_is_enabled_by_default(self):
         assert isinstance(DEFAULT, MetricsRegistry)
+        assert DEFAULT.enabled and MetricsRegistry().enabled
 
 
 class TestPrometheusRendering:
@@ -360,7 +352,9 @@ class TestServiceMetrics:
     def test_service_metrics_stay_on_when_plane_disabled(self, monkeypatch):
         """Counters are part of the stats API, so the service falls
         back to a private registry when the default plane is off."""
-        monkeypatch.setenv("MFV_METRICS_ENABLED", "0")
+        monkeypatch.setattr(
+            obs_metrics, "DEFAULT", MetricsRegistry(enabled=False)
+        )
         svc = VerificationService(workers=1)
         svc.start()
         try:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 import threading
 import time
 
@@ -22,14 +23,18 @@ from repro.service import (
     JobFailedError,
     JobPriority,
     JobQueue,
+    JobResult,
     JobState,
     JobTimeoutError,
     OverloadedError,
+    ResultCache,
     SnapshotStore,
     VerificationService,
 )
 from repro.service.frontend import ServiceFrontend, serve_loop
-from repro.service.workers import WorkerPool
+from repro.service.jobs import DEFAULT_QUEUE_DEPTH
+from repro.service.store import DEFAULT_CAPACITY
+from repro.service.workers import DEFAULT_WORKERS, WorkerPool
 from repro.verify.engine import clear_engine_cache, engine_for
 
 
@@ -100,11 +105,10 @@ class TestSnapshotStore:
             store.get(0xDEAD)
         assert store.misses == 1
 
-    def test_env_capacity_knob(self, monkeypatch):
-        monkeypatch.setenv("MFV_SERVICE_STORE", "3")
-        assert SnapshotStore().capacity == 3
-        monkeypatch.setenv("MFV_SERVICE_STORE", "junk")
-        assert SnapshotStore().capacity == SnapshotStore(capacity=8).capacity
+    def test_capacity_default_and_clamp(self):
+        assert SnapshotStore().capacity == DEFAULT_CAPACITY == 8
+        assert SnapshotStore(capacity=3).capacity == 3
+        assert SnapshotStore(capacity=0).capacity == 1
 
     def test_stats_shape(self, fig3_emulated):
         store = SnapshotStore(capacity=4)
@@ -183,6 +187,17 @@ class TestJobQueue:
         assert shed.rejection["shed_by"] == interactive.id
         assert queue.pop(0.1) is interactive
         assert queue.pop(0.1) is old_campaign
+
+
+class TestResultCache:
+    def test_capacity_bounds_lru(self):
+        cache = ResultCache(capacity=2)
+        assert ResultCache().capacity == 256
+        for n in (1, 2, 3):
+            cache.put(("q", n), JobResult(n, 0.0, 0.0, 1, 0))
+        assert len(cache) == 2
+        assert cache.get(("q", 1)) is None  # least recently used
+        assert cache.get(("q", 3)).cached
 
 
 class TestServiceExecution:
@@ -441,9 +456,9 @@ class TestServiceQuestions:
         the OLD content must fail (DeploymentLostError), never cache
         the NEW content's answer under the old content's signature."""
         healthy, buggy = fig2_snapshots
-        svc = VerificationService(
-            workers=1, max_retries=1, retry_backoff=0.0
-        )
+        svc = VerificationService(workers=1)
+        svc.pool.max_retries = 1
+        svc.pool.retry_backoff = 0.0
         svc.start()
         try:
             gate = _Gate()
@@ -472,9 +487,9 @@ class TestServiceQuestions:
         self, fig2_snapshots
     ):
         healthy, _ = fig2_snapshots
-        svc = VerificationService(
-            workers=1, max_retries=1, retry_backoff=0.0
-        )
+        svc = VerificationService(workers=1)
+        svc.pool.max_retries = 1
+        svc.pool.retry_backoff = 0.0
         svc.start()
         try:
             gate = _Gate()
@@ -688,6 +703,70 @@ class TestFrontend:
             gate.release.set()
         finally:
             svc.stop()
+
+
+class TestServeCli:
+    """``mfv serve`` flags are the CLI's only route to service settings."""
+
+    def _serve_stats(self, monkeypatch, capsys, *argv):
+        """Run ``mfv serve ARGV`` over one ``stats`` request; returns
+        the service stats it answered with."""
+        from repro.cli import main
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO('{"op": "stats"}\n'))
+        assert main(["serve", *argv]) == 0
+        (response,) = [
+            json.loads(line)
+            for line in capsys.readouterr().out.splitlines()
+        ]
+        assert response["ok"]
+        return response["stats"]
+
+    def test_defaults(self, monkeypatch, capsys):
+        stats = self._serve_stats(monkeypatch, capsys)
+        assert stats["workers"] == DEFAULT_WORKERS
+        assert stats["queue_watermark"] == DEFAULT_QUEUE_DEPTH
+        assert stats["store"]["capacity"] == DEFAULT_CAPACITY
+        assert stats["worker_mode"] == "thread"
+        assert "journal" not in stats
+
+    def test_flags_reach_the_service(self, monkeypatch, capsys, tmp_path):
+        stats = self._serve_stats(
+            monkeypatch, capsys,
+            "--store", "3", "--queue-depth", "5", "--workers", "1",
+            "--worker-mode", "process", "--journal", str(tmp_path),
+        )
+        assert stats["store"]["capacity"] == 3
+        assert stats["queue_watermark"] == 5
+        assert stats["workers"] == 1
+        assert stats["worker_mode"] == "process"
+        assert stats["journal"]["dir"] == str(tmp_path)
+
+    def test_recover_requires_journal(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--recover"]) == 2
+        assert "--recover requires --journal" in capsys.readouterr().err
+
+    def test_store_capacity_holds_during_recovery(
+        self, fig2_snapshots, fig3_emulated, monkeypatch, capsys, tmp_path
+    ):
+        """``--store`` sizes the store before recovery re-registers the
+        journaled snapshots, so residence never exceeds it."""
+        healthy, buggy = fig2_snapshots
+        crashed = VerificationService(workers=1, journal_dir=tmp_path)
+        for name, snap in (
+            ("healthy", healthy), ("buggy", buggy), ("fig3", fig3_emulated[1])
+        ):
+            crashed.register_snapshot(snap, name=name)
+        crashed.journal.close()
+        stats = self._serve_stats(
+            monkeypatch, capsys,
+            "--journal", str(tmp_path), "--recover", "--store", "1",
+        )
+        store = stats["store"]
+        assert store["capacity"] == 1
+        assert store["resident"] <= store["capacity"]
 
 
 class TestServiceObservability:

@@ -37,7 +37,11 @@ from repro.temporal import (
     WaypointAlways,
     evaluate_stream,
 )
-from repro.temporal.checkpoints import _coalesce_window, _max_checkpoints
+from repro.temporal.checkpoints import (
+    DEFAULT_COALESCE,
+    DEFAULT_MAX_CHECKPOINTS,
+)
+from repro.verify import engine as engine_mod
 from repro.verify.engine import AtomGraphEngine
 from repro.verify.invariants import detect_blackholes, detect_loops
 from repro.whatif import WhatIfCampaign, link_flap_scenarios
@@ -126,7 +130,7 @@ class TestTemporalOracleEquivalence:
     def test_production_flap_matches_oracle(self, prod, monkeypatch):
         # Lift the dirty-fraction gate so the warm path actually
         # patches (the mechanism under test), as test_verify_delta does.
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend, topology = prod
         _recorder, stream = record_flap(
             backend.last_run.deployment, topology, hold=30.0, quiet=30.0
@@ -275,19 +279,34 @@ class TestDeltaCompose:
 
 
 class TestRecorder:
-    def test_env_knob_parsing(self, monkeypatch):
-        monkeypatch.setenv("MFV_TEMPORAL_COALESCE", "2.5")
-        assert _coalesce_window() == 2.5
-        monkeypatch.setenv("MFV_TEMPORAL_COALESCE", "-3")
-        assert _coalesce_window() == 0.0
-        monkeypatch.setenv("MFV_TEMPORAL_COALESCE", "garbage")
-        assert _coalesce_window() == 0.25
-        monkeypatch.setenv("MFV_TEMPORAL_MAX_CHECKPOINTS", "17")
-        assert _max_checkpoints() == 17
-        monkeypatch.setenv("MFV_TEMPORAL_MAX_CHECKPOINTS", "1")
-        assert _max_checkpoints() == 2  # endpoints always survive
-        monkeypatch.setenv("MFV_TEMPORAL_MAX_CHECKPOINTS", "garbage")
-        assert _max_checkpoints() == 256
+    def test_knob_arguments_and_clamps(self, fig3_warm):
+        _backend, deployment, _topology = fig3_warm
+        default = CheckpointRecorder(deployment)
+        assert default.coalesce == DEFAULT_COALESCE == 0.25
+        assert default.max_checkpoints == DEFAULT_MAX_CHECKPOINTS == 256
+        assert CheckpointRecorder(deployment, coalesce=2.5).coalesce == 2.5
+        assert CheckpointRecorder(deployment, coalesce=-3).coalesce == 0.0
+        assert (
+            CheckpointRecorder(deployment, max_checkpoints=17).max_checkpoints
+            == 17
+        )
+        # Endpoints always survive: the cap never drops below two.
+        assert (
+            CheckpointRecorder(deployment, max_checkpoints=1).max_checkpoints
+            == 2
+        )
+
+    def test_wider_coalesce_window_never_adds_checkpoints(
+        self, fig3_warm, fig3_stream
+    ):
+        _backend, deployment, topology = fig3_warm
+        _recorder, wide = record_flap(deployment, topology, coalesce=5.0)
+        assert 2 <= len(wide) <= len(fig3_stream)
+        assert (
+            wide.final.dataplane.fib_fingerprint()
+            == fig3_stream.final.dataplane.fib_fingerprint()
+        )
+        assert_matches_oracle(wide)
 
     def test_recorder_is_single_shot(self, fig3_warm):
         _backend, deployment, _topology = fig3_warm

@@ -34,7 +34,9 @@ from repro.device.acl import AclRule
 from repro.net.addr import Prefix
 from repro.obs import tracing
 from repro.protocols.timers import FAST_TIMERS
+from repro.service import store as store_mod
 from repro.service.store import SnapshotStore
+from repro.verify import engine as engine_mod
 from repro.verify.engine import (
     AtomGraphEngine,
     DeltaUnapplicable,
@@ -91,7 +93,7 @@ class TestDeltaOracleEquivalence:
         # The mechanism under test is the patch, not the cost gate:
         # fig. 2 has so few atoms that honest cuts exceed the default
         # dirty-fraction threshold, so lift it for the sweep.
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend = ModelFreeBackend(
             fig2.topology, timers=FAST_TIMERS, quiet_period=5.0
         )
@@ -109,7 +111,7 @@ class TestDeltaOracleEquivalence:
             assert_delta_matches_cold(engine, target.dataplane)
 
     def test_fig3_single_link_cut(self, fig3, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend = ModelFreeBackend(
             fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
         )
@@ -122,7 +124,7 @@ class TestDeltaOracleEquivalence:
         assert_delta_matches_cold(engine, target.dataplane)
 
     def test_production_link_cuts(self, prod, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend, context, base = prod
         engine = AtomGraphEngine(base.dataplane)
         # One off-path cut (few dirty atoms) and one on a peer-route
@@ -136,7 +138,7 @@ class TestDeltaOracleEquivalence:
         """k successive perturbations, each step derived from the
         previous *derived* engine — patches must compose, not just
         survive one hop from a cold base."""
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend, context, base = prod
         links = [
             (link.a.node, link.z.node)
@@ -305,20 +307,21 @@ class TestFallbackReasons:
             AtomGraphEngine(other).apply_delta(DataplaneDelta(base, target))
         assert err.value.reason == "base-mismatch"
 
-    def test_dirty_fraction_threshold_env(self, monkeypatch):
+    def test_dirty_fraction_threshold(self, monkeypatch):
+        assert engine_mod.DELTA_THRESHOLD == 0.35
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "0.001")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 0.001)
         with pytest.raises(DeltaUnapplicable) as err:
             AtomGraphEngine(base).apply_delta(DataplaneDelta(base, target))
         assert err.value.reason == "dirty-fraction"
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         assert_delta_matches_cold(AtomGraphEngine(base), target)
 
 
 class TestEngineForLineage:
     def test_cache_miss_with_base_derives(self, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         clear_engine_cache()
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
@@ -334,7 +337,7 @@ class TestEngineForLineage:
         clear_engine_cache()
 
     def test_fallback_engine_records_reason(self, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "0.001")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 0.001)
         clear_engine_cache()
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
@@ -348,7 +351,7 @@ class TestEngineForLineage:
         flight when a delta derivation for the same content lands. The
         first registration must win — both callers converge on ONE
         engine object — and the late build is counted as discarded."""
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         clear_engine_cache()
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
@@ -389,7 +392,7 @@ class TestEngineForLineage:
 
 class TestDeltaMetrics:
     def test_apply_emits_counters_and_histograms(self, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         clear_engine_cache()
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
@@ -408,7 +411,7 @@ class TestDeltaMetrics:
         clear_engine_cache()
 
     def test_fallback_emits_labeled_counter(self, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "0.001")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 0.001)
         clear_engine_cache()
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
@@ -428,7 +431,7 @@ class TestDeltaMetrics:
 
 class TestStoreLineage:
     def _snapshots(self, prod_tuple, monkeypatch):
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend, context, base = prod_tuple
         cut = backend.run(context.with_link_down("r7", "r5"))
         return base, cut
@@ -470,7 +473,7 @@ class TestStoreLineage:
 
     def test_lineage_depth_caps_the_walk(self, prod, monkeypatch):
         base, cut = self._snapshots(prod, monkeypatch)
-        monkeypatch.setenv("MFV_DELTA_LINEAGE_DEPTH", "1")
+        monkeypatch.setattr(store_mod, "LINEAGE_DEPTH", 1)
         clear_engine_cache()
         store = SnapshotStore(capacity=4)
         base_fp = store.register(base)
@@ -491,7 +494,7 @@ class TestStoreLineage:
 
     def test_depth_zero_disables_delta_derivation(self, prod, monkeypatch):
         base, cut = self._snapshots(prod, monkeypatch)
-        monkeypatch.setenv("MFV_DELTA_LINEAGE_DEPTH", "0")
+        monkeypatch.setattr(store_mod, "LINEAGE_DEPTH", 0)
         clear_engine_cache()
         store = SnapshotStore(capacity=4)
         base_fp = store.register(base)
@@ -526,7 +529,7 @@ class TestDeltaStatsCli:
     def test_diff_delta_stats_block(self, prod, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv("MFV_DELTA_THRESHOLD", "1.0")
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
         backend, context, base = prod
         cut = backend.run(context.with_link_down("r7", "r5"))
         base_path = tmp_path / "base.json"

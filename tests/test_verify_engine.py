@@ -31,6 +31,7 @@ from repro.net.headerspace import HeaderSpace
 from repro.net.intervals import IntervalSet
 from repro.obs import tracing
 from repro.protocols.timers import FAST_TIMERS
+from repro.verify import engine as engine_mod
 from repro.verify.engine import (
     AtomGraphEngine,
     clear_engine_cache,
@@ -242,13 +243,14 @@ class TestEngineCache:
         assert tracer.counters["verify.engine_builds"] == 2
         clear_engine_cache()
 
-    def test_eviction_counter_with_env_limit(
+    def test_eviction_counter_with_cache_limit(
         self, fig3_emulated, fig3_model, monkeypatch
     ):
-        """MFV_ENGINE_CACHE=1 keeps one engine resident: the second
-        distinct dataplane evicts the first, and re-requesting the first
-        is a rebuild, not a hit."""
-        monkeypatch.setenv("MFV_ENGINE_CACHE", "1")
+        """CACHE_LIMIT=1 keeps one engine resident: the second distinct
+        dataplane evicts the first, and re-requesting the first is a
+        rebuild, not a hit."""
+        assert engine_mod.CACHE_LIMIT == 8
+        monkeypatch.setattr(engine_mod, "CACHE_LIMIT", 1)
         emulated = fig3_emulated[1].dataplane
         model = fig3_model[1].dataplane
         clear_engine_cache()
@@ -260,19 +262,6 @@ class TestEngineCache:
         assert tracer.counters["verify.engine_builds"] == 3
         assert "verify.engine_cache_hits" not in tracer.counters
         assert again is not first
-        clear_engine_cache()
-
-    def test_bad_env_limit_falls_back_to_default(
-        self, fig2_snapshots, monkeypatch
-    ):
-        monkeypatch.setenv("MFV_ENGINE_CACHE", "not-a-number")
-        healthy, _ = fig2_snapshots
-        clear_engine_cache()
-        with tracing() as tracer:
-            first = engine_for(healthy.dataplane)
-            second = engine_for(healthy.dataplane)
-        assert first is second
-        assert tracer.counters["verify.engine_cache_hits"] == 1
         clear_engine_cache()
 
     def test_node_cache_keys_by_entry_content(self, fig2_snapshots):
