@@ -83,7 +83,7 @@ def _crash_run(workload, baseline, variant, journal_dir):
         journal_dir=journal_dir,
         # Dead workers are detected via is_alive() within milliseconds
         # regardless of this interval; it only sets the hang budget
-        # (heartbeat_s * max_missed). Generous, so a loaded CI box
+        # (heartbeat_s * MAX_MISSED). Generous, so a loaded CI box
         # building engines in the children never trips a spurious
         # missed-heartbeat kill.
         heartbeat_s=1.0,

@@ -239,9 +239,9 @@ def test_service_amortizes_engine_builds(benchmark, report):
         "service_stats": {
             "store": stats["store"],
             "result_cache": stats["result_cache"],
-            "coalesced": stats["coalesced"],
-            "jobs_submitted": stats["jobs_submitted"],
-            "result_cache_hits": stats["result_cache_hits"],
+            "coalesced": stats["counters"]["coalesced"],
+            "jobs_submitted": stats["counters"]["jobs_submitted"],
+            "result_cache_hits": stats["counters"]["result_cache_hits"],
         },
         "overload": overload,
     }

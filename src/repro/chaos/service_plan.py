@@ -34,9 +34,9 @@ KIND_EVICTION_STORM = "eviction-storm"
 @dataclass(frozen=True)
 class WorkerCrash:
     """SIGKILL the worker executing the ``at_dispatch``-th dispatched
-    job (1-based, counted across the pool). Requires the supervised
-    process pool — thread workers share the service's fate and cannot
-    be crashed in isolation."""
+    job (1-based, counted across the pool). Requires process mode —
+    thread workers share the service's fate and cannot be crashed in
+    isolation."""
 
     at_dispatch: int
 
@@ -192,7 +192,7 @@ class ServiceChaos:
         if self._armed:
             return self
         pool = self.service.pool
-        if self._pending_crashes and not hasattr(pool, "kill_worker"):
+        if self._pending_crashes and self.service.worker_mode != "process":
             raise ValueError(
                 "worker-crash faults need worker_mode='process' "
                 "(thread workers share the service's fate)"
@@ -214,8 +214,7 @@ class ServiceChaos:
             return
         pool = self.service.pool
         if self._pending_crashes or self._prev_dispatch is not None:
-            if hasattr(pool, "on_dispatch"):
-                pool.on_dispatch = self._prev_dispatch
+            pool.on_dispatch = self._prev_dispatch
         if self.service.journal is not None and (
             self.service.journal.stall_hook is self._on_journal_record
         ):

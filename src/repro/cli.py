@@ -77,8 +77,10 @@ JSON-lines on stdin/stdout (one request per line; see
 :mod:`repro.service.frontend` for the ops). ``--journal DIR`` makes
 accepted jobs durable (write-ahead log + snapshot manifest);
 ``--recover`` replays that journal after a crash before serving;
-``--worker-mode process`` runs supervised, crash-isolated worker
-processes. SIGTERM drains gracefully: admissions stop, in-flight jobs
+``--worker-mode process`` gives each worker thread its own forked,
+crash-isolated child: a question job runs in the child, and a child
+that dies or hangs is killed, respawned and its job redelivered.
+SIGTERM drains gracefully: admissions stop, in-flight jobs
 settle (or stay journaled), and the process exits 0. ``submit`` is the
 one-shot client shape: spin up a service, load snapshots, run one
 question through the queue, print the answer.
@@ -1308,8 +1310,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--worker-mode", choices=("thread", "process"), default="thread",
-        help="worker isolation (default: %(default)s); process workers "
-        "are supervised and crash-isolated",
+        help="worker isolation (default: %(default)s); in process mode "
+        "each worker runs questions in its own crash-isolated child",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -2,8 +2,8 @@
 
 A long-lived daemon over the one-shot pipeline: converged snapshots
 stay resident in a content-addressed :class:`SnapshotStore`, query jobs
-flow through a priority :class:`JobQueue` into a thread
-:class:`WorkerPool` (or crash-isolated :class:`SupervisedProcessPool`),
+flow through a priority :class:`JobQueue` into a :class:`WorkerPool`
+of threads (in process mode, each with a crash-isolated forked child),
 identical in-flight requests coalesce onto one execution, and completed
 answers serve from a bounded :class:`ResultCache`.
 :class:`VerificationService` is the front door; ``mfv serve`` wraps it
@@ -49,7 +49,6 @@ from repro.service.store import (
     SnapshotStore,
     StoreEntry,
 )
-from repro.service.supervisor import SupervisedProcessPool
 from repro.service.workers import WorkerPool
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "ResultCache",
     "SnapshotStore",
     "StoreEntry",
-    "SupervisedProcessPool",
     "VerificationService",
     "WorkerPool",
     "replay_journal",

@@ -77,10 +77,10 @@ class JobLostError(JobFailedError):
     """The worker executing the job died and redelivery is exhausted.
 
     Raised out of ``Job.result()`` instead of blocking forever: the
-    supervisor declared the executing worker dead (crash or missed
+    pool declared the executing worker dead (crash or missed
     heartbeats), requeued the job up to the redelivery limit, and the
     job still never settled. ``detail`` carries the structured story
-    (deliveries, the declaring supervisor's reason).
+    (deliveries, the reason the worker was declared dead).
     """
 
     def __init__(self, message: str, detail: Optional[dict] = None) -> None:
@@ -141,7 +141,7 @@ class Job:
         #: Idempotency key in the durable journal (None: not journaled).
         self.journal_key: Optional[str] = None
         #: How many times this work has been delivered to a worker
-        #: (1 = first delivery; each supervisor requeue increments).
+        #: (1 = first delivery; each redelivery increments).
         self.deliveries = 1
         #: Circuit-breaker key (snapshot fingerprint for question jobs).
         self.breaker_key: Any = None

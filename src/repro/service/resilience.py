@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from repro.core.snapshot import Snapshot
+from repro.pybf.session import Session
 
 logger = logging.getLogger(__name__)
 
@@ -88,6 +89,29 @@ class QuestionSpec:
             "reference_snapshot": self.reference_snapshot,
             "reference_fingerprint": self.reference_fingerprint,
         }
+
+    def answer(
+        self, store, snapshot: Snapshot, reference: Optional[Snapshot] = None
+    ) -> Any:
+        """Answer this question over already-resolved snapshots.
+
+        ``snapshot`` (and ``reference``, for a differential question)
+        must carry this spec's fingerprints; how they were resolved is
+        the caller's business. The private session shares ``store``,
+        hence its pinned engines, and a reference records the lineage
+        so the snapshot's engine derives from the reference's instead
+        of building cold.
+        """
+        runner = Session(store=store)
+        kwargs = {"snapshot": "__job__"}
+        if reference is not None:
+            runner.init_snapshot(reference, name="__reference__")
+            kwargs["reference_snapshot"] = "__reference__"
+        runner.init_snapshot(
+            snapshot, name="__job__", parent=self.reference_fingerprint
+        )
+        factory = getattr(runner.q, self.question)
+        return factory(**dict(self.params)).answer(**kwargs)
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuestionSpec":
@@ -242,7 +266,7 @@ class JobJournal:
         )
 
     def record_redelivery(self, key: str) -> int:
-        """A supervisor requeued the job; returns the new delivery count."""
+        """A dead worker's job was requeued; returns the new delivery count."""
         with self._lock:
             deliveries = self._deliveries.get(key, 0) + 1
             self._deliveries[key] = deliveries

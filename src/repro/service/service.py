@@ -58,8 +58,11 @@ from repro.service.resilience import (
     replay_journal,
 )
 from repro.service.store import DeploymentLostError, SnapshotStore
-from repro.service.supervisor import DEFAULT_HEARTBEAT_S, SupervisedProcessPool
-from repro.service.workers import DEFAULT_WORKERS, WorkerPool
+from repro.service.workers import (
+    DEFAULT_HEARTBEAT_S,
+    DEFAULT_WORKERS,
+    WorkerPool,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -121,27 +124,19 @@ class VerificationService:
         self.session = Session(store=self.store)
         self.queue = JobQueue(max_depth=max_queue_depth)
         self.results = ResultCache()
-        if worker_mode == "process":
-            self.pool: Union[WorkerPool, SupervisedProcessPool] = (
-                SupervisedProcessPool(
-                    self.queue,
-                    manifest_dir=self.journal.dir,
-                    workers=workers,
-                    heartbeat_s=heartbeat_s,
-                    on_start=self._job_started,
-                    on_done=self._job_settled,
-                    on_requeue=self._job_redelivered,
-                    on_degraded=self._job_degraded,
-                )
-            )
-        else:
-            self.pool = WorkerPool(
-                self.queue,
-                workers=workers,
-                on_start=self._job_started,
-                on_done=self._job_settled,
-                on_retry=self._job_retried,
-            )
+        self.pool = WorkerPool(
+            self.queue,
+            workers=workers,
+            manifest_dir=(
+                self.journal.dir if worker_mode == "process" else None
+            ),
+            heartbeat_s=heartbeat_s,
+            on_start=self._job_started,
+            on_done=self._job_settled,
+            on_retry=self._job_retried,
+            on_requeue=self._job_redelivered,
+            on_degraded=self._job_degraded,
+        )
         self.pool.on_drain = self._drain_completed
         #: Chaos hook: called with the 1-based submission index on every
         #: job submission (the service fault plane triggers eviction
@@ -280,7 +275,7 @@ class VerificationService:
         drained.labels(outcome="rejected")
         m.gauge(
             "service.worker_respawns",
-            "Worker processes killed and respawned by the supervisor",
+            "Worker processes killed and respawned",
         ).set(0)
         m.histogram(
             "service.recovery_seconds",
@@ -348,7 +343,7 @@ class VerificationService:
             "breakers": self.breakers.stats(),
             "dead_letters": dead_letters,
         }
-        if isinstance(self.pool, SupervisedProcessPool):
+        if self.worker_mode == "process":
             pool_stats = self.pool.stats()
             health["workers_alive"] = pool_stats["alive"]
             health["worker_respawns"] = pool_stats["respawns"]
@@ -493,24 +488,14 @@ class VerificationService:
     def _recover_submit(self, pending) -> Job:
         """Requeue one replayed journal obligation under its spec."""
         spec = pending.spec
-        params = dict(spec.params)
         label = spec.question
         signature = (
             spec.question,
-            tuple(sorted(params.items())),
+            tuple(sorted(spec.params)),
             spec.fingerprint,
             spec.reference_fingerprint,
         )
-        run = self._question_executor(
-            spec.question,
-            params,
-            spec.snapshot,
-            spec.fingerprint,
-            spec.reference_snapshot,
-            spec.reference_fingerprint,
-            label,
-            signature,
-        )
+        run = self._question_executor(spec, label, signature)
         try:
             priority = JobPriority.parse(pending.priority)
         except (KeyError, ValueError):
@@ -581,27 +566,18 @@ class VerificationService:
             reference_fp,
         )
         label = f"{question}"
-        run = self._question_executor(
-            question,
-            params,
-            snapshot,
-            snapshot_fp,
-            reference_snapshot,
-            reference_fp,
-            label,
-            signature,
-        )
         # The replayable identity: journaled on acceptance, executed
         # directly by process workers (which adopt the fingerprints from
-        # the journal manifest instead of running this closure).
+        # the journal manifest instead of running the closure below).
         spec = QuestionSpec(
             question=question,
-            params=tuple(sorted(params.items())),
+            params=signature[1],
             snapshot=snapshot,
             fingerprint=snapshot_fp,
             reference_snapshot=reference_snapshot,
             reference_fingerprint=reference_fp,
         )
+        run = self._question_executor(spec, label, signature)
         return self._submit_job(
             signature,
             run,
@@ -791,18 +767,12 @@ class VerificationService:
         }
         if self.journal is not None:
             stats["journal"] = self.journal.stats()
-        if isinstance(self.pool, SupervisedProcessPool):
+        if self.worker_mode == "process":
             pool_stats = self.pool.stats()
             stats["pool"] = pool_stats
             self.metrics.gauge("service.worker_respawns").set(
                 pool_stats["respawns"]
             )
-        # Deprecated: the counters used to be splatted into the top
-        # level, where any new stats field could collide with a counter
-        # name. Kept as read-only aliases for one release; consumers
-        # should move to stats["counters"].
-        for name, value in counters.items():
-            stats.setdefault(name, value)
         return stats
 
     # -- internals ---------------------------------------------------------------
@@ -834,15 +804,7 @@ class VerificationService:
         return snap
 
     def _question_executor(
-        self,
-        question: str,
-        params: dict,
-        snapshot: Optional[str],
-        snapshot_fp: int,
-        reference_snapshot: Optional[str],
-        reference_fp: Optional[int],
-        label: str,
-        signature: Optional[tuple] = None,
+        self, spec: QuestionSpec, label: str, signature: tuple
     ) -> Callable[[], Any]:
         def run():
             collector = bus.ACTIVE
@@ -854,13 +816,11 @@ class VerificationService:
                 else None
             )
             try:
-                # Resolve by verified content and answer through a
-                # private session over the exact resolved objects, so a
-                # rename between this check and the answer cannot swap
-                # the content out from under the signature. The private
-                # session shares the service store, hence its pinned
-                # engines.
-                snap = self._resolve_pinned(snapshot, snapshot_fp)
+                # Resolve by verified content and answer over the exact
+                # resolved objects, so a rename between this check and
+                # the answer cannot swap the content out from under the
+                # signature.
+                snap = self._resolve_pinned(spec.snapshot, spec.fingerprint)
                 if getattr(snap, "degraded_nodes", None):
                     # Answering over a partial snapshot: the answer is
                     # still served (degraded pairs come back
@@ -869,32 +829,17 @@ class VerificationService:
                     # degraded data — and the snapshot's breaker counts
                     # it as a strike.
                     self._count("degraded_answers")
-                    holder = (
-                        self._inflight.get(signature)
-                        if signature is not None
-                        else None
-                    )
+                    holder = self._inflight.get(signature)
                     if holder is not None:
                         holder.degraded_answer = True
-                runner = Session(store=self.store)
-                kwargs: dict[str, Any] = {"snapshot": "__job__"}
-                if reference_snapshot is not None:
-                    # A differential question declares its pair: the
-                    # snapshot is churn of the reference, so record the
-                    # lineage and let the snapshot's engine derive from
-                    # the reference's instead of building cold.
-                    ref = self._resolve_pinned(
-                        reference_snapshot, reference_fp
+                reference = (
+                    self._resolve_pinned(
+                        spec.reference_snapshot, spec.reference_fingerprint
                     )
-                    runner.init_snapshot(ref, name="__reference__")
-                    kwargs["reference_snapshot"] = "__reference__"
-                    runner.init_snapshot(
-                        snap, name="__job__", parent=reference_fp
-                    )
-                else:
-                    runner.init_snapshot(snap, name="__job__")
-                factory = getattr(runner.q, question)
-                return factory(**params).answer(**kwargs)
+                    if spec.reference_fingerprint is not None
+                    else None
+                )
+                return spec.answer(self.store, snap, reference)
             finally:
                 if span is not None:
                     collector.end(span, self._now())
@@ -1044,10 +989,10 @@ class VerificationService:
         job.degraded_answer = True
 
     def _job_redelivered(self, job: Job, reason: str) -> bool:
-        """Supervisor hook: a dead/hung worker's in-flight job wants
-        back into the queue. Returns False once redelivery is exhausted
-        — the supervisor then settles the job with ``JobLostError`` and
-        the service dead-letters the journaled obligation."""
+        """Pool hook: a dead/hung worker's in-flight job wants back into
+        the queue. Returns False once redelivery is exhausted — the pool
+        then settles the job with ``JobLostError`` and the service
+        dead-letters the journaled obligation."""
         if job.journal_key and self.journal is not None:
             job.deliveries = self.journal.record_redelivery(job.journal_key)
         else:

@@ -294,15 +294,14 @@ def _settle(condition, timeout=5.0):
 
 
 class TestServiceMetrics:
-    def test_stats_namespaces_counters_with_aliases(self, service):
+    def test_stats_namespaces_counters(self, service):
         service.submit_callable(lambda: 1, signature=("s1",)).result(5)
         _settle(lambda: service.counters["jobs_completed"] == 1)
         stats = service.stats()
         assert stats["counters"]["jobs_submitted"] == 1
         assert stats["counters"]["jobs_completed"] == 1
-        # Deprecated flat aliases survive one release.
-        assert stats["jobs_submitted"] == 1
-        assert stats["jobs_completed"] == 1
+        # Counters live only under "counters", never at the top level.
+        assert not set(stats["counters"]) & set(stats)
 
     def test_counters_property_reads_registry(self, service):
         service.submit_callable(lambda: 1, signature=("c1",)).result(5)
@@ -348,6 +347,29 @@ class TestServiceMetrics:
             {"op": "metrics", "format": "nonsense"}
         )
         assert not response["ok"]
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_jobs_run_in_their_job_scope(self, worker_mode, tmp_path):
+        """In both pool modes, a job records under its own id and onto
+        its service's registry, not the process-wide default."""
+        svc = VerificationService(
+            workers=1,
+            worker_mode=worker_mode,
+            journal_dir=tmp_path if worker_mode == "process" else None,
+        )
+        svc.start()
+        try:
+            job = svc.submit_callable(
+                lambda: (
+                    getattr(bus.current_job(), "job_id", None),
+                    bus.metrics_registry() is svc.metrics,
+                ),
+                signature=("scope",),
+                cacheable=False,
+            )
+            assert job.result(10).value == (job.id, True)
+        finally:
+            svc.stop()
 
     def test_service_metrics_stay_on_when_plane_disabled(self, monkeypatch):
         """Counters are part of the stats API, so the service falls

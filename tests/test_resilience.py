@@ -9,6 +9,10 @@ question and the manifest pins the forwarding content.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import sys
 import threading
 import time
 
@@ -29,6 +33,8 @@ from repro.service import (
     JobFailedError,
     JobJournal,
     JobLostError,
+    JobState,
+    JobTimeoutError,
     OverloadedError,
     QuestionSpec,
     VerificationService,
@@ -46,6 +52,37 @@ def _spec(question="reachability", fp=0x1234):
 def _canon(value) -> str:
     """Canonical bytes of an answer for byte-identical comparison."""
     return json.dumps(_serialize_value(value), sort_keys=True, default=str)
+
+
+def _thread_baseline(snapshot) -> str:
+    """The thread-mode answer to ``reachability`` over ``snapshot``."""
+    with VerificationService(workers=1) as svc:
+        svc.register_snapshot(snapshot, name="net")
+        return _canon(
+            svc.submit("reachability", snapshot="net").result(60).value
+        )
+
+
+def _freeze_first_dispatch(svc) -> list:
+    """SIGSTOP the (only) worker process at the first dispatch; returns
+    the list the frozen process lands in, for the test to reap."""
+    frozen: list = []
+
+    def hook(job, worker_index, dispatch_index):
+        if not frozen:
+            (child,) = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGSTOP)
+            frozen.append(child)
+
+    svc.pool.on_dispatch = hook
+    return frozen
+
+
+def _reap(frozen) -> None:
+    for child in frozen:
+        if child.is_alive():
+            child.kill()
+            child.join(5)
 
 
 def _await_state(board: BreakerBoard, key, state: BreakerState, timeout=2.0):
@@ -424,20 +461,13 @@ class TestServiceJournalRecovery:
 
 
 class TestSupervisedProcessPool:
+    """Process mode: each worker thread supervises its own child."""
+
     def test_mid_job_kill_is_redelivered_deterministically(
         self, fig2_snapshots, tmp_path
     ):
         healthy, _ = fig2_snapshots
-
-        baseline_svc = VerificationService(workers=1)
-        baseline_svc.start()
-        baseline_svc.register_snapshot(healthy, name="net")
-        baseline = _canon(
-            baseline_svc.submit("reachability", snapshot="net")
-            .result(60).value
-        )
-        baseline_svc.stop()
-
+        baseline = _thread_baseline(healthy)
         svc = VerificationService(
             workers=1,
             worker_mode="process",
@@ -492,6 +522,148 @@ class TestSupervisedProcessPool:
             svc.stop()
         state = replay_journal(tmp_path)
         assert state.jobs[state_key].dead  # durable, not just in-memory
+
+    def test_hung_worker_is_killed_and_job_redelivered(
+        self, fig2_snapshots, tmp_path
+    ):
+        healthy, _ = fig2_snapshots
+        baseline = _thread_baseline(healthy)
+        svc = VerificationService(
+            workers=1,
+            worker_mode="process",
+            journal_dir=tmp_path,
+            heartbeat_s=0.5,
+        )
+        svc.start()
+        frozen = _freeze_first_dispatch(svc)
+        try:
+            svc.register_snapshot(healthy, name="net")
+            job = svc.submit("reachability", snapshot="net")
+            value = job.result(60).value
+            assert frozen  # the first delivery really hung
+            assert job.deliveries == 2
+            assert _canon(value) == baseline
+            assert svc.stats()["pool"]["respawns"] >= 1
+        finally:
+            _reap(frozen)
+            svc.stop()
+
+    def test_deadline_kills_a_running_worker(self, fig2_snapshots, tmp_path):
+        healthy, _ = fig2_snapshots
+        svc = VerificationService(
+            workers=1,
+            worker_mode="process",
+            journal_dir=tmp_path,
+            heartbeat_s=30.0,  # no hang verdict inside this test
+        )
+        svc.start()
+        frozen = _freeze_first_dispatch(svc)
+        try:
+            svc.register_snapshot(healthy, name="net")
+            job = svc.submit("reachability", snapshot="net", timeout=1.0)
+            with pytest.raises(JobTimeoutError):
+                job.result(30)
+            assert frozen
+            assert svc.stats()["pool"]["respawns"] == 1
+        finally:
+            _reap(frozen)
+            svc.stop()
+
+    def test_idle_worker_death_is_respawned(self):
+        svc = VerificationService(workers=1, worker_mode="process")
+        svc.start()
+        try:
+            (first,) = multiprocessing.active_children()
+            assert svc.pool.kill_worker(0)
+            deadline = time.monotonic() + 5.0
+            health = svc.health()
+            while time.monotonic() < deadline and not (
+                health["worker_respawns"] >= 1
+                and health["workers_alive"] == 1
+            ):
+                time.sleep(0.05)
+                health = svc.health()
+            assert health["worker_respawns"] >= 1
+            assert health["workers_alive"] == 1
+            (second,) = multiprocessing.active_children()
+            assert second.pid != first.pid
+        finally:
+            svc.stop()
+
+    @pytest.mark.parametrize("drain", [True, False])
+    def test_stop_rejects_the_in_flight_job(
+        self, fig2_snapshots, tmp_path, drain
+    ):
+        """A child still busy when the stop timeout passes is killed,
+        and its job settles as a ``draining`` rejection — a caller in
+        ``result()`` must never block forever."""
+        healthy, _ = fig2_snapshots
+        svc = VerificationService(
+            workers=1, worker_mode="process", journal_dir=tmp_path
+        )
+        svc.start()
+        frozen = _freeze_first_dispatch(svc)
+        try:
+            svc.register_snapshot(healthy, name="net")
+            job = svc.submit("reachability", snapshot="net")
+            deadline = time.monotonic() + 10.0
+            while not frozen and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert frozen
+            counts = svc.stop(timeout=1.0, drain=drain)
+        finally:
+            _reap(frozen)
+            if svc.pool.running:
+                svc.stop()
+        assert job.state is JobState.REJECTED
+        with pytest.raises(OverloadedError) as excinfo:
+            job.result(0)
+        assert excinfo.value.detail["error"] == "draining"
+        assert counts == {"settled": 0, "rejected": 1}
+
+    def test_concurrent_mixed_jobs_match_thread_mode(
+        self, fig2_snapshots, tmp_path
+    ):
+        """More workers than cores and a short switch interval: question
+        jobs (a differential one included) race inline callables, every
+        answer matches thread mode, and each question is dispatched to
+        a child exactly once."""
+        healthy, buggy = fig2_snapshots
+        asks = [
+            ("reachability", "net", None),
+            ("detectLoops", "net", None),
+            ("routes", "buggy", None),
+            ("differentialReachability", "buggy", "net"),
+        ]
+
+        def run_all(svc):
+            svc.register_snapshot(healthy, name="net")
+            svc.register_snapshot(buggy, name="buggy")
+            jobs = [
+                svc.submit(question, snapshot=name, reference_snapshot=ref)
+                for question, name, ref in asks
+            ]
+            calls = [
+                svc.submit_callable(lambda n=n: n, signature=("call", n))
+                for n in range(20)
+            ]
+            assert [c.result(60).value for c in calls] == list(range(20))
+            return [_canon(job.result(60).value) for job in jobs]
+
+        with VerificationService(workers=1) as svc:
+            baseline = run_all(svc)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        svc = VerificationService(
+            workers=3, worker_mode="process", journal_dir=tmp_path
+        )
+        svc.start()
+        try:
+            assert run_all(svc) == baseline
+            assert svc.stats()["pool"]["dispatches"] == len(asks)
+        finally:
+            svc.stop()
+            sys.setswitchinterval(previous)
 
     def test_process_mode_requires_no_explicit_journal(self, fig2_snapshots):
         healthy, _ = fig2_snapshots
