@@ -189,10 +189,7 @@ class HeaderSpace:
 
     def dst_values(self) -> IntervalSet:
         """Projection onto the destination-IP field."""
-        out = IntervalSet.empty()
-        for rect in self._rects:
-            out = out | rect.dst_ip
-        return out
+        return IntervalSet.union_all(rect.dst_ip for rect in self._rects)
 
     def sample(self) -> Optional[Packet]:
         if not self._rects:

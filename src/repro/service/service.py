@@ -929,9 +929,13 @@ class VerificationService:
             job.spec = spec
             job.breaker_key = breaker_key
             if spec is not None and self.journal is not None:
-                # Write-ahead: the submit record is durable before the
-                # job can run — a crash after this line owes the caller
-                # a replay, a crash before it never accepted the job.
+                # Write-ahead: the submit record is written before the
+                # job can run, and is durable at the journal's next
+                # fsync. Up to ``fsync_batch`` - 1 journal records (7 at
+                # the default 8) stay buffered between fsyncs — the
+                # bounded durability window — so a crash can lose a job
+                # accepted inside it. A crash before this line never
+                # accepted the job.
                 key, deliveries = self.journal.record_submit(
                     spec,
                     priority=priority.name.lower(),
@@ -1130,11 +1134,10 @@ class VerificationService:
             ).observe(job.run_seconds, priority=priority)
         m.gauge("service.inflight").set(inflight)
         m.gauge("service.result_cache_entries").set(len(self.results))
-        counters = self.counters
-        completed = counters["jobs_completed"]
+        completed = m.counter("service.jobs_completed").value
         if completed:
             m.gauge("service.degraded_answer_fraction").set(
-                counters["degraded_answers"] / completed
+                m.counter("service.degraded_answers").value / completed
             )
         self._emit_job_event(job)
 

@@ -27,35 +27,32 @@ from repro.dataplane.forwarding import (
 from repro.dataplane.model import Dataplane
 from repro.net.addr import MAX_IPV4, format_ipv4
 from repro.net.headerspace import HeaderSpace
-from repro.net.intervals import IntervalSet
+from repro.net.intervals import IntervalSet, overlapping
 from repro.verify.engine import AtomGraphEngine, engine_for
 
 
 def _merged_pieces(
     ref_engine: AtomGraphEngine, new_engine: AtomGraphEngine
-) -> list[tuple[IntervalSet, int, int]]:
-    """The merge of two engines' partitions, as (piece, ref atom index,
-    snapshot atom index) triples.
+) -> tuple[list[IntervalSet], list[int], list[int], list[int]]:
+    """The merge of two engines' partitions: its pieces, their lower
+    bounds, and each piece's ref and snapshot atom indexes.
 
     Each engine's atoms are contiguous ascending spans covering the
     whole space, so cutting at the union of their lower bounds yields
     pieces lying inside exactly one atom of each engine — within a
     piece both verdicts are constant, which is all the comparison loop
-    needs.
+    needs. The pieces tile the space the same way, so a restriction
+    can bisect ``lows`` for the pieces it overlaps.
     """
-    bounds = sorted(
+    lows = sorted(
         {atom.min() for atom in ref_engine.atoms}
         | {atom.min() for atom in new_engine.atoms}
     )
-    uppers = bounds[1:] + [MAX_IPV4 + 1]
-    return [
-        (
-            IntervalSet.span(lo, hi - 1),
-            ref_engine.atom_index_of(lo),
-            new_engine.atom_index_of(lo),
-        )
-        for lo, hi in zip(bounds, uppers)
-    ]
+    uppers = lows[1:] + [MAX_IPV4 + 1]
+    pieces = [IntervalSet.span(lo, hi - 1) for lo, hi in zip(lows, uppers)]
+    ref_of = [ref_engine.atom_index_of(lo) for lo in lows]
+    new_of = [new_engine.atom_index_of(lo) for lo in lows]
+    return pieces, lows, ref_of, new_of
 
 
 @dataclass(frozen=True)
@@ -232,25 +229,32 @@ def differential_reachability(
         new_engine = engine_for(snapshot, base=ref_engine)
         ref_engine.precompute()
         new_engine.precompute()
-        spans = _merged_pieces(ref_engine, new_engine)
+        pieces, lows, ref_of, new_of = _merged_pieces(ref_engine, new_engine)
     else:
         ref_engine = engine_for(reference, atoms)
         new_engine = engine_for(snapshot, atoms)
         ref_engine.precompute()
         new_engine.precompute()
-        spans = [(atom, index, index) for index, atom in enumerate(atoms)]
+        pieces = list(atoms)
+        lows = [atom.min() for atom in pieces]
+        ref_of = new_of = range(len(pieces))
+    # Only the pieces the restriction overlaps, found by bisection.
+    visits = (
+        list(enumerate(pieces))
+        if restriction is None
+        else list(overlapping(pieces, lows, restriction))
+    )
     ref_walk = ForwardingWalk(reference)
     new_walk = ForwardingWalk(snapshot)
     rows: list[DifferentialRow] = []
     for ingress in nodes:
+        # (before, after) dispositions -> [pieces, before walk, after
+        # walk]; pieces arrive ascending and are unioned once below.
         merged: dict[tuple, list] = {}
-        for atom, ref_index, new_index in spans:
-            piece = atom if restriction is None else (atom & restriction)
-            if piece.is_empty():
-                continue
+        for k, piece in visits:
             probe = piece.sample()
-            ref_verdict = ref_engine.verdict(ingress, ref_index)
-            new_verdict = new_engine.verdict(ingress, new_index)
+            ref_verdict = ref_engine.verdict(ingress, ref_of[k])
+            new_verdict = new_engine.verdict(ingress, new_of[k])
             if ref_verdict.tainted or new_verdict.tainted:
                 # ACLs may split the space on non-destination fields:
                 # compare the exact per-slice behaviour, not samples.
@@ -268,18 +272,16 @@ def differential_reachability(
                     continue
                 key = (ref_verdict.dispositions, new_verdict.dispositions)
                 if key in merged:
-                    merged[key][0] = merged[key][0] | piece
+                    merged[key][0].append(piece)
                     continue
                 before = ref_walk.walk(ingress, probe)
                 after = new_walk.walk(ingress, probe)
-            bucket = merged.setdefault(key, [piece, before, after])
-            if bucket[0] is not piece:
-                bucket[0] = bucket[0] | piece
-        for (ref_d, new_d), (dst_set, before, after) in merged.items():
+            merged.setdefault(key, [[], before, after])[0].append(piece)
+        for (ref_d, new_d), (bucket, before, after) in merged.items():
             rows.append(
                 DifferentialRow(
                     ingress=ingress,
-                    dst_set=dst_set,
+                    dst_set=IntervalSet.union_all(bucket),
                     sample_destination=before.destination,
                     reference_dispositions=ref_d,
                     snapshot_dispositions=new_d,

@@ -44,12 +44,12 @@ import time
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.dataplane.forwarding import Disposition, ForwardingWalk, dst_atoms
 from repro.dataplane.model import Dataplane
 from repro.net.addr import MAX_IPV4, Prefix
-from repro.net.intervals import IntervalSet
+from repro.net.intervals import IntervalSet, overlapping
 from repro.obs import bus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -237,6 +237,14 @@ class AtomGraphEngine:
         so this is a binary search over their lower bounds.
         """
         return bisect_right(self._reps, address) - 1
+
+    def overlapping(
+        self, restriction: IntervalSet
+    ) -> Iterator[tuple[int, IntervalSet]]:
+        """``(atom index, atom & restriction)`` for just the atoms the
+        restriction overlaps, ascending — see
+        :func:`repro.net.intervals.overlapping`."""
+        return overlapping(self.atoms, self._reps, restriction)
 
     def precompute(self, workers: Optional[int] = None) -> None:
         """Materialize every atom's verdict table.

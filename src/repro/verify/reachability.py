@@ -93,26 +93,28 @@ class ReachabilityAnalysis:
         if self.engine is None:
             return self._analyze_scalar(nodes, restriction)
         self.engine.precompute()
+        # Only the atoms the restriction overlaps, found by bisection:
+        # a point query visits one atom, not the whole partition.
+        pieces = (
+            list(enumerate(self.atoms))
+            if restriction is None
+            else list(self.engine.overlapping(restriction))
+        )
         rows: list[ReachabilityRow] = []
         for ingress in nodes:
-            # dispositions -> [merged dst set, first piece's sample]
-            merged: dict[frozenset[Disposition], list] = {}
-            for index, atom in enumerate(self.atoms):
-                piece = atom if restriction is None else (atom & restriction)
-                if piece.is_empty():
-                    continue
+            # dispositions -> pieces, ascending and disjoint; each bucket
+            # is unioned once below, its first piece's min is the sample.
+            merged: dict[frozenset[Disposition], list[IntervalSet]] = {}
+            for index, piece in pieces:
                 dispositions = self.engine.dispositions(ingress, index)
-                bucket = merged.get(dispositions)
-                if bucket is None:
-                    merged[dispositions] = [piece, piece.sample()]
-                else:
-                    bucket[0] = bucket[0] | piece
-            for dispositions, (dst_set, sample) in merged.items():
+                merged.setdefault(dispositions, []).append(piece)
+            for dispositions, bucket in merged.items():
+                sample = bucket[0].sample()
                 result = self.walker.walk(ingress, sample)
                 rows.append(
                     ReachabilityRow(
                         ingress=ingress,
-                        dst_set=dst_set,
+                        dst_set=IntervalSet.union_all(bucket),
                         dispositions=dispositions,
                         sample_destination=sample,
                         sample_traces=result.traces,

@@ -8,12 +8,17 @@ converged snapshots.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend, NativeBatfishBackend
 from repro.corpus.fig2 import fig2_scenario
 from repro.corpus.fig3 import fig3_scenario
 from repro.protocols.timers import FAST_TIMERS
+
+# The CI sweep (``--hypothesis-profile=ci``): many more examples, no
+# per-example deadline. Tier-1 runs keep hypothesis's default profile.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

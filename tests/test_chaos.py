@@ -265,6 +265,22 @@ class TestPodCrashDegradation:
             assert job.result(timeout=10).value is not None
             assert svc.counters["degraded_answers"] == 2
 
+    def test_degraded_answer_fraction_gauge(self, snapshot):
+        from repro.service.service import VerificationService
+
+        svc = VerificationService(workers=1)
+        with svc:
+            svc.register_snapshot(snapshot, name="partial")
+            healthy = svc.submit_callable(lambda: "ok", signature=("ok",))
+            assert healthy.result(timeout=10).value == "ok"
+            job = svc.submit("reachability", snapshot="partial")
+            assert job.result(timeout=10).value is not None
+        # stop() joined the worker, so both settle hooks have run.
+        gauge = svc.metrics.gauge("service.degraded_answer_fraction")
+        assert svc.counters["jobs_completed"] == 2
+        assert svc.counters["degraded_answers"] == 1
+        assert gauge.labels().value == pytest.approx(0.5)
+
 
 class TestDeterminism:
     """Same (plan, topology, seed) -> byte-identical replay."""

@@ -6,6 +6,7 @@ the LPM table against a linear-scan oracle, CIDR decomposition, atom
 partitioning, and header-space set laws.
 """
 
+import pickle
 import re
 
 import pytest
@@ -19,7 +20,13 @@ from repro.net.addr import (
     parse_ipv4,
 )
 from repro.net.headerspace import HeaderSpace, Rect
-from repro.net.intervals import Interval, IntervalSet, atoms
+from repro.net.intervals import (
+    Interval,
+    IntervalSet,
+    _interval_to_prefixes,
+    atoms,
+    overlapping,
+)
 from repro.net.trie import PrefixTrie
 
 WIDTH = 12  # small universe so brute force is cheap
@@ -115,6 +122,361 @@ class TestAtoms:
             for piece in pieces:
                 overlap = piece & s
                 assert overlap.is_empty() or overlap == piece
+
+
+# -- flat-integer IntervalSet vs the tuple-of-Interval implementation --------
+
+
+class OracleIntervalSet:
+    """``IntervalSet`` as it was before its flat-integer representation:
+    a tuple of validated :class:`Interval` objects, re-sorted by
+    ``_normalize`` after every operation. Kept as the reference the
+    production class is checked against."""
+
+    __slots__ = ("_ivals",)
+
+    def __init__(self, intervals=()) -> None:
+        self._ivals = _oracle_normalize(intervals)
+
+    @classmethod
+    def empty(cls):
+        return cls(())
+
+    @classmethod
+    def of(cls, *values):
+        return cls(Interval(v, v) for v in values)
+
+    @classmethod
+    def span(cls, lo, hi):
+        return cls((Interval(lo, hi),))
+
+    @classmethod
+    def full(cls, width=32):
+        return cls.span(0, (1 << width) - 1)
+
+    @classmethod
+    def from_prefix(cls, prefix):
+        return cls.span(prefix.first, prefix.last)
+
+    @classmethod
+    def from_prefixes(cls, prefixes):
+        return cls(Interval(p.first, p.last) for p in prefixes)
+
+    @property
+    def intervals(self):
+        return self._ivals
+
+    def is_empty(self):
+        return not self._ivals
+
+    def __bool__(self):
+        return bool(self._ivals)
+
+    def __len__(self):
+        return sum(len(ival) for ival in self._ivals)
+
+    def __iter__(self):
+        return iter(self._ivals)
+
+    def __contains__(self, value):
+        lo, hi = 0, len(self._ivals) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            ival = self._ivals[mid]
+            if value < ival.lo:
+                hi = mid - 1
+            elif value > ival.hi:
+                lo = mid + 1
+            else:
+                return True
+        return False
+
+    def min(self):
+        if not self._ivals:
+            raise ValueError("min() of empty IntervalSet")
+        return self._ivals[0].lo
+
+    def max(self):
+        if not self._ivals:
+            raise ValueError("max() of empty IntervalSet")
+        return self._ivals[-1].hi
+
+    def issubset(self, other):
+        return (self - other).is_empty()
+
+    def isdisjoint(self, other):
+        return (self & other).is_empty()
+
+    def union(self, other):
+        if not self._ivals:
+            return other
+        if not other._ivals:
+            return self
+        return OracleIntervalSet(self._ivals + other._ivals)
+
+    def intersection(self, other):
+        result = []
+        i = j = 0
+        a, b = self._ivals, other._ivals
+        while i < len(a) and j < len(b):
+            lo = max(a[i].lo, b[j].lo)
+            hi = min(a[i].hi, b[j].hi)
+            if lo <= hi:
+                result.append(Interval(lo, hi))
+            if a[i].hi < b[j].hi:
+                i += 1
+            else:
+                j += 1
+        return OracleIntervalSet(result)
+
+    def difference(self, other):
+        result = []
+        j = 0
+        b = other._ivals
+        for ival in self._ivals:
+            lo = ival.lo
+            while j < len(b) and b[j].hi < lo:
+                j += 1
+            k = j
+            while k < len(b) and b[k].lo <= ival.hi:
+                if b[k].lo > lo:
+                    result.append(Interval(lo, b[k].lo - 1))
+                lo = max(lo, b[k].hi + 1)
+                if lo > ival.hi:
+                    break
+                k += 1
+            if lo <= ival.hi:
+                result.append(Interval(lo, ival.hi))
+        return OracleIntervalSet(result)
+
+    def complement(self, width=32):
+        return OracleIntervalSet.full(width) - self
+
+    __or__ = union
+    __and__ = intersection
+    __sub__ = difference
+
+    def __eq__(self, other):
+        if not isinstance(other, OracleIntervalSet):
+            return NotImplemented
+        return self._ivals == other._ivals
+
+    def __hash__(self):
+        return hash(self._ivals)
+
+    def to_prefixes(self):
+        prefixes = []
+        for ival in self._ivals:
+            prefixes.extend(_interval_to_prefixes(ival.lo, ival.hi))
+        return prefixes
+
+    def __repr__(self):
+        body = ", ".join(str(ival) for ival in self._ivals)
+        return f"IntervalSet({{{body}}})"
+
+
+def _oracle_normalize(intervals):
+    merged = []
+    for ival in sorted(intervals):
+        if merged and merged[-1].touches(ival):
+            last = merged[-1]
+            merged[-1] = Interval(last.lo, max(last.hi, ival.hi))
+        else:
+            merged.append(ival)
+    return tuple(merged)
+
+
+def oracle_atoms(sets, width=32):
+    universe_hi = (1 << width) - 1
+    cuts = {0, universe_hi + 1}
+    for s in sets:
+        for ival in s:
+            cuts.add(ival.lo)
+            cuts.add(ival.hi + 1)
+    ordered = sorted(cuts)
+    return [
+        OracleIntervalSet.span(lo, min(nxt - 1, universe_hi))
+        for lo, nxt in zip(ordered, ordered[1:])
+        if lo <= universe_hi
+    ]
+
+
+#: Bounds that stress the edges: both ends of the 32-bit space, and
+#: runs of neighbours so adjacent intervals (``hi + 1 == lo``) occur.
+_EDGE_BOUNDS = (0, 1, 2, 3, 255, 256, MAX_IPV4 - 2, MAX_IPV4 - 1, MAX_IPV4)
+_bound = st.one_of(
+    st.sampled_from(_EDGE_BOUNDS),
+    st.integers(0, 64),
+    st.integers(0, MAX_IPV4),
+)
+
+
+@st.composite
+def interval_lists(draw):
+    """Raw, possibly overlapping and adjacent, intervals in 32 bits."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        lo = draw(_bound)
+        if out and draw(st.booleans()) and out[-1].hi < MAX_IPV4:
+            lo = out[-1].hi + 1  # adjacent to the previous run
+        hi = draw(st.one_of(st.just(lo), st.integers(lo, min(lo + 8, MAX_IPV4)),
+                            st.integers(lo, MAX_IPV4)))
+        out.append(Interval(lo, hi))
+    return out
+
+
+def both(ivals):
+    return IntervalSet(ivals), OracleIntervalSet(ivals)
+
+
+def agree(got: IntervalSet, want: OracleIntervalSet) -> None:
+    assert got.intervals == want.intervals
+    assert list(iter(got)) == list(iter(want))
+    assert repr(got) == repr(want)
+
+
+def outcome_of(function, *args):
+    try:
+        return None, function(*args)
+    except ValueError:
+        return ValueError, None
+
+
+class TestIntervalSetOracle:
+    """Every constructor and operation of the flat-integer class agrees
+    with the reference implementation it replaced."""
+
+    @given(interval_lists())
+    def test_constructor_and_iteration(self, ivals):
+        agree(*both(ivals))
+
+    @given(st.lists(_bound, max_size=12))
+    def test_of(self, values):
+        agree(IntervalSet.of(*values), OracleIntervalSet.of(*values))
+
+    @given(st.integers(-2, MAX_IPV4), st.integers(-2, MAX_IPV4))
+    def test_span_including_invalid(self, lo, hi):
+        got = outcome_of(IntervalSet.span, lo, hi)
+        want = outcome_of(OracleIntervalSet.span, lo, hi)
+        assert got[0] is want[0]
+        if got[0] is None:
+            agree(got[1], want[1])
+
+    def test_of_rejects_negative(self):
+        with pytest.raises(ValueError):
+            IntervalSet.of(3, -1)
+        with pytest.raises(ValueError):
+            OracleIntervalSet.of(3, -1)
+
+    @given(st.lists(prefixes(), max_size=8))
+    def test_from_prefixes_and_batch_union(self, prefix_list):
+        agree(
+            IntervalSet.from_prefixes(prefix_list),
+            OracleIntervalSet.from_prefixes(prefix_list),
+        )
+        folded = OracleIntervalSet.empty()
+        for prefix in prefix_list:
+            agree(
+                IntervalSet.from_prefix(prefix),
+                OracleIntervalSet.from_prefix(prefix),
+            )
+            folded = folded | OracleIntervalSet.from_prefix(prefix)
+        agree(
+            IntervalSet.union_all(
+                IntervalSet.from_prefix(p) for p in prefix_list
+            ),
+            folded,
+        )
+
+    @given(st.lists(interval_lists(), max_size=5))
+    def test_batch_union_of_sets(self, lists):
+        folded = OracleIntervalSet.empty()
+        for ivals in lists:
+            folded = folded | OracleIntervalSet(ivals)
+        agree(IntervalSet.union_all(IntervalSet(i) for i in lists), folded)
+
+    @given(interval_lists(), interval_lists())
+    def test_binary_algebra(self, left, right):
+        a, oa = both(left)
+        b, ob = both(right)
+        agree(a & b, oa & ob)
+        agree(a | b, oa | ob)
+        agree(a - b, oa - ob)
+        agree(b - a, ob - oa)
+        assert a.issubset(b) == oa.issubset(ob)
+        assert a.isdisjoint(b) == oa.isdisjoint(ob)
+        assert (a == b) == (oa == ob)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    @given(interval_lists(), st.sampled_from([8, 16, 32]))
+    def test_complement(self, ivals, width):
+        got, want = both(
+            [i for i in ivals if i.hi < (1 << width)]
+        )
+        agree(got.complement(width), want.complement(width))
+
+    @given(interval_lists())
+    def test_queries(self, ivals):
+        got, want = both(ivals)
+        assert len(got) == len(want)
+        assert bool(got) == bool(want) and got.is_empty() == want.is_empty()
+        assert outcome_of(IntervalSet.min, got) == outcome_of(
+            OracleIntervalSet.min, want
+        )
+        assert outcome_of(IntervalSet.max, got) == outcome_of(
+            OracleIntervalSet.max, want
+        )
+        probes = {0, MAX_IPV4}
+        for ival in ivals:
+            probes.update((ival.lo - 1, ival.lo, ival.hi, ival.hi + 1))
+        for value in probes:
+            assert (value in got) == (value in want), value
+        assert got.to_prefixes() == want.to_prefixes()
+
+    @given(st.lists(interval_lists(), max_size=4))
+    def test_atoms(self, lists):
+        got = atoms([IntervalSet(i) for i in lists])
+        want = oracle_atoms([OracleIntervalSet(i) for i in lists])
+        assert [s.intervals for s in got] == [s.intervals for s in want]
+
+    @given(interval_lists(), interval_lists())
+    def test_equal_sets_hash_equal(self, left, right):
+        # Two spellings of one set: the canonical forms must collide.
+        a = IntervalSet(left + right)
+        b = IntervalSet(right + left) | IntervalSet(left)
+        assert a == b and hash(a) == hash(b)
+
+    @given(interval_lists())
+    def test_pickle_round_trip(self, ivals):
+        original = IntervalSet(ivals)
+        loaded = pickle.loads(pickle.dumps(original))
+        assert loaded == original and hash(loaded) == hash(original)
+        agree(loaded, OracleIntervalSet(ivals))
+        assert (loaded | original) == original
+
+
+class TestOverlapping:
+    """``overlapping`` against intersecting every piece of the partition."""
+
+    @given(st.lists(interval_lists(), max_size=4), interval_lists())
+    @example([[Interval(10, 19)]], [Interval(10, 10)])
+    @example([[Interval(10, 19)]], [Interval(19, 19)])
+    @example([[Interval(10, 19)]], [Interval(0, MAX_IPV4)])
+    def test_matches_full_scan(self, lists, restriction_ivals):
+        partition = atoms([IntervalSet(i) for i in lists])
+        lows = [piece.min() for piece in partition]
+        restriction = IntervalSet(restriction_ivals)
+        got = list(overlapping(partition, lows, restriction))
+        want = [
+            (index, piece & restriction)
+            for index, piece in enumerate(partition)
+            if not (piece & restriction).is_empty()
+        ]
+        assert got == want
+        for index, piece in got:
+            if piece == partition[index]:
+                assert piece is partition[index]
 
 
 @st.composite

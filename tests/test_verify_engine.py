@@ -142,7 +142,7 @@ class TestParallelPrecompute:
                 )
 
 
-def _acl_line_dataplane() -> Dataplane:
+def _acl_line_dataplane(permitted_src: str = "1.1.1.1/32") -> Dataplane:
     """a -> b -> c where b filters on its ingress interface: traffic to
     c's loopback is only permitted for one source prefix, so b's node
     behaviour is not a function of the destination atom alone."""
@@ -174,7 +174,7 @@ def _acl_line_dataplane() -> Dataplane:
     ]
     b.acls = {
         "FILTER": (
-            AclRule(seq=10, permit=True, src=Prefix.parse("1.1.1.1/32")),
+            AclRule(seq=10, permit=True, src=Prefix.parse(permitted_src)),
             AclRule(seq=20, permit=False),
         )
     }
