@@ -19,18 +19,19 @@ from repro.chaos.plan import FaultPlan
 from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend
 from repro.core.snapshot import Snapshot
-from repro.dataplane.forwarding import Disposition
 from repro.dataplane.model import Dataplane
 from repro.protocols.timers import PRODUCTION_TIMERS, TimerProfile
 from repro.topo.model import Topology
-from repro.verify.reachability import ReachabilityAnalysis, pairwise_matrix
+from repro.verify.invariants import Pairwise, Probe
 
 
 def pairwise_verdicts(dataplane: Dataplane) -> dict[str, bool]:
-    """The all-pairs matrix with JSON-friendly ``src->dst`` keys."""
+    """Every device pair's :class:`Pairwise` verdict, keyed ``src->dst``."""
+    probe = Probe(dataplane)
+    failing = dict(Pairwise().findings(probe))
     return {
-        f"{src}->{dst}": reachable
-        for (src, dst), reachable in sorted(pairwise_matrix(dataplane).items())
+        f"{src}->{dst}": (src, dst) not in failing
+        for src, dst in sorted(probe.matrix())
     }
 
 
@@ -47,15 +48,9 @@ def verdict_stability(
 
 def degraded_fraction(dataplane: Dataplane) -> float:
     """Fraction of reachability rows answering UNKNOWN_DEGRADED."""
-    rows = ReachabilityAnalysis(dataplane).analyze()
-    if not rows:
-        return 0.0
-    degraded = sum(
-        1
-        for row in rows
-        if Disposition.UNKNOWN_DEGRADED in row.dispositions
-    )
-    return degraded / len(rows)
+    probe = Probe(dataplane)
+    rows = probe.rows()
+    return len(probe.degraded()) / len(rows) if rows else 0.0
 
 
 @dataclass

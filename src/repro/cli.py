@@ -94,6 +94,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from typing import Optional
 
 from repro.core.pipeline import ModelFreeBackend, NativeBatfishBackend, phase
 from repro.core.snapshot import Snapshot
@@ -132,6 +133,45 @@ def _print_delta_stats(engine) -> None:
         f"({', '.join(stats.touched_devices) or 'none touched'})"
     )
     print(f"  apply time: {stats.apply_seconds * 1e3:.1f} ms")
+
+
+def _traced(run, to_stderr: bool = False):
+    """The verb ``run``, recording an observability trace to
+    ``--trace`` when one is given."""
+
+    def command(args: argparse.Namespace) -> int:
+        if not args.trace:
+            return run(args)
+        with tracing() as tracer:
+            code = run(args)
+        lines = write_jsonl(tracer, args.trace)
+        print(
+            f"trace written to {args.trace} ({lines} records)",
+            file=sys.stderr if to_stderr else sys.stdout,
+        )
+        return code
+
+    return command
+
+
+def _write_json(path: Optional[str], report) -> None:
+    """The ``--json`` report file, when one was asked for."""
+    import json
+
+    if not path:
+        return
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report.to_dict(), handle, indent=2)
+    print(f"report written to {path}")
+
+
+def _parse_waypoint(spec: str):
+    from repro.verify.invariants import parse_waypoint
+
+    try:
+        return parse_waypoint(spec)
+    except ValueError as exc:
+        raise SystemExit(f"--waypoint: {exc}")
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -173,16 +213,6 @@ def _run_verify(args: argparse.Namespace) -> int:
         snapshot.save(args.save)
         print(f"snapshot saved to {args.save}")
     return 0 if not loops else 2
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_verify(args)
-    with tracing() as tracer:
-        code = _run_verify(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)")
-    return code
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -290,16 +320,6 @@ def _run_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_demo(args)
-    with tracing() as tracer:
-        code = _run_demo(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)")
-    return code
-
-
 def _whatif_setup(args: argparse.Namespace):
     """Resolve the whatif target: (topology, context, timers, quiet)."""
     from repro.core.context import ScenarioContext
@@ -383,23 +403,8 @@ def _run_whatif(args: argparse.Namespace) -> int:
     report = campaign.run(workers=args.workers)
     print()
     print(report.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.json}")
+    _write_json(args.json, report)
     return 2 if report.worst_severity else 0
-
-
-def _cmd_whatif(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_whatif(args)
-    with tracing() as tracer:
-        code = _run_whatif(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)")
-    return code
 
 
 def _parse_seeds(spec):
@@ -463,23 +468,8 @@ def _run_chaos(args: argparse.Namespace) -> int:
         print(f"transient intervals:       "
               f"{report.temporal.get('transient', 0)} "
               f"(over {report.temporal.get('checkpoints', 0)} checkpoints)")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.json}")
+    _write_json(args.json, report)
     return 0 if report.survived else 2
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_chaos(args)
-    with tracing() as tracer:
-        code = _run_chaos(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)")
-    return code
 
 
 def _ensemble_plans(args: argparse.Namespace, topology) -> list:
@@ -508,21 +498,14 @@ def _ensemble_plans(args: argparse.Namespace, topology) -> list:
 
 
 def _run_ensemble(args: argparse.Namespace) -> int:
-    from repro.ensemble import (
-        EnsembleRunner,
-        Waypoint,
-        default_ensemble_invariants,
-    )
+    from repro.ensemble import EnsembleRunner, default_ensemble_invariants
 
     topology, context, timers, quiet = _whatif_setup(args)
     seeds = _parse_seeds(args.seeds)
     plans = _ensemble_plans(args, topology)
     invariants = default_ensemble_invariants()
     if args.waypoint:
-        dst, sep, via = args.waypoint.partition(":")
-        if not sep or not dst or not via:
-            raise SystemExit("--waypoint wants DEST_IP:VIA_NODE")
-        invariants.append(Waypoint(dst, via))
+        invariants.append(_parse_waypoint(args.waypoint))
     runner = EnsembleRunner(
         topology,
         context=context,
@@ -540,44 +523,22 @@ def _run_ensemble(args: argparse.Namespace) -> int:
     report = runner.run(workers=args.workers)
     print()
     print(report.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.json}")
+    _write_json(args.json, report)
     return 2 if report.unstable else 0
 
 
-def _cmd_ensemble(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_ensemble(args)
-    with tracing() as tracer:
-        code = _run_ensemble(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)")
-    return code
-
-
 def _temporal_invariants(args: argparse.Namespace):
-    from repro.temporal import (
-        BlackholeWindow,
-        MaxChurn,
-        NoTransientLoop,
-        WaypointAlways,
-    )
+    from repro.temporal import MaxChurn
+    from repro.verify.invariants import Blackhole, Loop
 
     invariants = [
-        NoTransientLoop(max_sim_s=args.max_loop_s),
-        BlackholeWindow(max_sim_s=args.max_blackhole_s),
+        Loop(max_sim_s=args.max_loop_s),
+        Blackhole(max_sim_s=args.max_blackhole_s),
     ]
     if args.max_churn is not None:
         invariants.append(MaxChurn(args.max_churn))
     if args.waypoint:
-        dst, sep, via = args.waypoint.partition(":")
-        if not sep or not dst or not via:
-            raise SystemExit("--waypoint wants DEST_IP:VIA_NODE")
-        invariants.append(WaypointAlways(dst, via))
+        invariants.append(_parse_waypoint(args.waypoint))
     return invariants
 
 
@@ -656,23 +617,8 @@ def _run_temporal(args: argparse.Namespace) -> int:
             f"temporal verification found {transient} transient "
             f"interval(s) a post-convergence check cannot see"
         )
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"report written to {args.json}")
+    _write_json(args.json, report)
     return 2 if report.intervals else 0
-
-
-def _cmd_temporal(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_temporal(args)
-    with tracing() as tracer:
-        code = _run_temporal(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)")
-    return code
 
 
 def _obs_timeline_whatif(args: argparse.Namespace) -> int:
@@ -840,16 +786,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    if not args.trace:
-        return _run_serve(args)
-    with tracing() as tracer:
-        code = _run_serve(args)
-    lines = write_jsonl(tracer, args.trace)
-    print(f"trace written to {args.trace} ({lines} records)", file=sys.stderr)
-    return code
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import JobFailedError, OverloadedError, VerificationService
 
@@ -919,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print how the engine was derived (delta apply vs cold build)",
     )
-    verify.set_defaults(func=_cmd_verify)
+    verify.set_defaults(func=_traced(_run_verify))
 
     diff = sub.add_parser("diff", help="differential reachability")
     diff.add_argument("reference")
@@ -950,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
     )
-    demo.set_defaults(func=_cmd_demo)
+    demo.set_defaults(func=_traced(_run_demo))
 
     whatif = sub.add_parser(
         "whatif", help="fault-exploration campaign on a warm deployment"
@@ -1008,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     whatif.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
     )
-    whatif.set_defaults(func=_cmd_whatif)
+    whatif.set_defaults(func=_traced(_run_whatif))
 
     chaos = sub.add_parser(
         "chaos",
@@ -1076,7 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
     )
-    chaos.set_defaults(func=_cmd_chaos)
+    chaos.set_defaults(func=_traced(_run_chaos))
 
     ensemble = sub.add_parser(
         "ensemble",
@@ -1155,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
     )
-    ensemble.set_defaults(func=_cmd_ensemble)
+    ensemble.set_defaults(func=_traced(_run_ensemble))
 
     temporal = sub.add_parser(
         "temporal",
@@ -1230,7 +1166,7 @@ def build_parser() -> argparse.ArgumentParser:
     temporal.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
     )
-    temporal.set_defaults(func=_cmd_temporal)
+    temporal.set_defaults(func=_traced(_run_temporal))
 
     obs = sub.add_parser("obs", help="observability: timelines and traces")
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
@@ -1313,7 +1249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker isolation (default: %(default)s); in process mode "
         "each worker runs questions in its own crash-isolated child",
     )
-    serve.set_defaults(func=_cmd_serve)
+    serve.set_defaults(func=_traced(_run_serve, to_stderr=True))
 
     submit = sub.add_parser(
         "submit", help="run one question through the verification service"

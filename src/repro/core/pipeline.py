@@ -164,7 +164,7 @@ class ModelFreeBackend:
         ``temporal`` opts into transient-state verification: ``True``
         checks the default invariants (transient loops, blackhole
         windows), or pass a sequence of
-        :class:`~repro.temporal.invariants.TemporalInvariant`. A
+        :class:`~repro.verify.invariants.Invariant`. A
         checkpoint recorder arms right after deploy — route injection,
         link cuts, and chaos faults all churn on the record — and the
         resulting violation intervals land in ``metadata["temporal"]``

@@ -3,25 +3,18 @@
 Runs the (seed x fault-plan) matrix, dedups converged states by
 ``fib_fingerprint``, and folds every invariant across the distinct
 outcomes into holds-always / holds-sometimes / never verdicts with
-concrete witnesses.
+concrete witnesses. The invariants are the shared ones of
+:mod:`repro.verify.invariants`; this package is their ensemble lift.
 """
 
-from repro.ensemble.invariants import (
-    REACH_PREFIX,
-    EnsembleInvariant,
-    NoBlackhole,
-    NoForwardingLoop,
-    OutcomeProbe,
-    PairwiseReachable,
-    Waypoint,
-    default_ensemble_invariants,
-)
 from repro.ensemble.runner import (
+    REACH_PREFIX,
     EnsembleOutcome,
     EnsembleReport,
     EnsembleRunner,
     RunRecord,
     brute_force_verdicts,
+    default_ensemble_invariants,
     fold_records,
     temporal_invariant_names,
 )
@@ -43,19 +36,13 @@ __all__ = [
     "MAX_WITNESSES",
     "NEVER",
     "REACH_PREFIX",
-    "EnsembleInvariant",
     "EnsembleOutcome",
     "EnsembleReport",
     "EnsembleRunner",
     "EnsembleWitness",
     "InvariantVerdict",
-    "NoBlackhole",
-    "NoForwardingLoop",
-    "OutcomeProbe",
-    "PairwiseReachable",
     "RowObservation",
     "RunRecord",
-    "Waypoint",
     "brute_force_verdicts",
     "default_ensemble_invariants",
     "fold",

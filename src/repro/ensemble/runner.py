@@ -33,11 +33,6 @@ from repro.chaos.plan import FaultPlan
 from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend
 from repro.core.snapshot import Snapshot
-from repro.ensemble.invariants import (
-    EnsembleInvariant,
-    OutcomeProbe,
-    default_ensemble_invariants,
-)
 from repro.ensemble.verdicts import (
     HOLDS_ALWAYS,
     HOLDS_SOMETIMES,
@@ -51,11 +46,62 @@ from repro.obs import bus
 from repro.protocols.timers import PRODUCTION_TIMERS, TimerProfile
 from repro.service.store import SnapshotStore
 from repro.topo.model import Topology
+from repro.verify.invariants import (
+    Blackhole,
+    Invariant,
+    Loop,
+    Pairwise,
+    Probe,
+    Waypoint,
+)
+from repro.verify.reachability import ReachabilityRow
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SEEDS = 4
 TEMPORAL_PREFIX = "temporal:"
+#: Row-name prefix for the per-pair reachability rows.
+REACH_PREFIX = "reach:"
+_ROW_NAMES = {Loop: "no-forwarding-loop", Blackhole: "no-blackhole"}
+
+
+def default_ensemble_invariants() -> list[Invariant]:
+    """The standard battery: loops, blackholes, all-pairs rows."""
+    return [Loop(), Blackhole(), Pairwise()]
+
+
+def outcome_rows(
+    invariant: Invariant, probe: Probe
+) -> dict[str, tuple[bool, str]]:
+    """The ensemble lift: ``{row: (holds, detail)}`` on one outcome.
+
+    :class:`Pairwise` answers one ``reach:src->dst`` row per device
+    pair, omitting pairs that answer UNKNOWN_DEGRADED — absence of
+    proof stays out of the fold denominator, matching the chaos
+    runner's stability scoring. Every other invariant answers one row,
+    whose detail is its first finding: the row itself for a snapshot
+    flow, the violating ingress for a waypoint.
+    """
+    if isinstance(invariant, Pairwise):
+        failing = dict(invariant.findings(probe))
+        degraded = probe.degraded_pairs()
+        return {
+            f"{REACH_PREFIX}{src}->{dst}": (
+                (src, dst) not in failing,
+                failing.get((src, dst), ""),
+            )
+            for src, dst in sorted(probe.matrix())
+            if (src, dst) not in degraded
+        }
+    if isinstance(invariant, Waypoint):
+        name = f"waypoint:{invariant.dst}-via-{invariant.via}"
+    else:
+        name = _ROW_NAMES[type(invariant)]
+    for key, detail in invariant.findings(probe):
+        if isinstance(key, ReachabilityRow):
+            return {name: (False, str(key))}
+        return {name: (False, f"{key[0]} {detail}")}
+    return {name: (True, "")}
 
 
 @dataclass(frozen=True)
@@ -185,17 +231,17 @@ def temporal_invariant_names(temporal) -> tuple:
     """The temporal row names a ``temporal=`` spec will produce."""
     if temporal is None or temporal is False:
         return ()
-    if temporal is True:
-        from repro.temporal import default_invariants
+    from repro.temporal.invariants import default_invariants, stream_name
 
-        return tuple(i.name for i in default_invariants())
-    return tuple(i.name for i in temporal)
+    if temporal is True:
+        temporal = default_invariants()
+    return tuple(stream_name(i) for i in temporal)
 
 
 def fold_records(
     records: Sequence[RunRecord],
     *,
-    invariants: Sequence[EnsembleInvariant],
+    invariants: Sequence[Invariant],
     temporal_names: tuple = (),
     engine_of: Optional[Callable[[Snapshot], object]] = None,
     dedup: bool = True,
@@ -243,9 +289,11 @@ def fold_records(
             engine = (
                 engine_of(outcome.snapshot) if engine_of is not None else None
             )
-            probe = OutcomeProbe(outcome.snapshot.dataplane, engine=engine)
+            probe = Probe(outcome.snapshot.dataplane, engine=engine)
         for invariant in invariants:
-            for name, (holds, detail) in invariant.rows(probe).items():
+            for name, (holds, detail) in outcome_rows(
+                invariant, probe
+            ).items():
                 observations.setdefault(name, []).append(
                     RowObservation(
                         holds=holds,
@@ -352,7 +400,7 @@ def fold_records(
 def brute_force_verdicts(
     records: Sequence[RunRecord],
     *,
-    invariants: Optional[Sequence[EnsembleInvariant]] = None,
+    invariants: Optional[Sequence[Invariant]] = None,
     temporal_names: tuple = (),
 ) -> list[InvariantVerdict]:
     """The no-dedup oracle: verify every member run independently.
@@ -390,7 +438,7 @@ class EnsembleRunner:
         context: Optional[ScenarioContext] = None,
         seeds: Sequence[int] = range(DEFAULT_SEEDS),
         plans: Optional[Sequence[Optional[FaultPlan]]] = None,
-        invariants: Optional[Sequence[EnsembleInvariant]] = None,
+        invariants: Optional[Sequence[Invariant]] = None,
         temporal=None,
         cluster=None,
         timers: TimerProfile = PRODUCTION_TIMERS,

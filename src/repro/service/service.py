@@ -684,17 +684,18 @@ class VerificationService:
         fingerprint, pays one pinned engine per distinct outcome, and
         answers holds-always / holds-sometimes / never per invariant.
         ``waypoint`` ("DST_IP:VIA_NODE") appends a waypoint invariant
-        to the standard battery. The job is keyed on the members'
+        to the standard battery; a malformed one raises ValueError
+        before anything is queued. The job is keyed on the members'
         content fingerprints, so it coalesces and caches like any
         question and fails with ``DeploymentLostError`` if a member is
         replaced mid-flight.
         """
         from repro.ensemble import (
             RunRecord,
-            Waypoint,
             default_ensemble_invariants,
             fold_records,
         )
+        from repro.verify.invariants import parse_waypoint
 
         names = (
             tuple(snapshots) if snapshots is not None
@@ -702,14 +703,13 @@ class VerificationService:
         )
         if not names:
             raise ValueError("no snapshots to fold an ensemble over")
+        invariants = default_ensemble_invariants()
+        if waypoint:
+            invariants.append(parse_waypoint(waypoint))
         fingerprints = tuple(self._fingerprint_of(name) for name in names)
         signature = ("ensemble", names, fingerprints, waypoint or "")
 
         def run():
-            invariants = default_ensemble_invariants()
-            if waypoint:
-                dst, _, via = waypoint.partition(":")
-                invariants.append(Waypoint(dst, via))
             records = []
             for name, expected in zip(names, fingerprints):
                 snap = self._resolve_pinned(name, expected)

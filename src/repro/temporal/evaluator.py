@@ -30,19 +30,22 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.dataplane.forwarding import ForwardingWalk, WalkResult
 from repro.obs import bus
 from repro.temporal.checkpoints import Checkpoint, CheckpointStream
 from repro.temporal.invariants import (
-    TemporalInvariant,
     ViolationInterval,
+    default_invariants,
     describe_key,
+    stream_name,
 )
 from repro.verify.engine import AtomGraphEngine, DeltaUnapplicable
+from repro.verify.invariants import Invariant, Probe
 
 
-class CheckpointProbe:
-    """What one invariant may ask about one checkpoint."""
+class _CheckpointProbe(Probe):
+    """One checkpoint seen through the warm engine, plus the stream's
+    parts: the flow universe, the ingresses, ``t`` and the install
+    rate."""
 
     def __init__(
         self,
@@ -52,40 +55,34 @@ class CheckpointProbe:
         ingresses: Sequence[str],
         prev_t: Optional[float],
     ) -> None:
+        super().__init__(checkpoint.dataplane, engine)
         self.checkpoint = checkpoint
-        self.engine = engine
         self.universe = universe
         self.ingresses = ingresses
         self._prev_t = prev_t
-        self._walker: Optional[ForwardingWalk] = None
 
     @property
     def t(self) -> float:
         return self.checkpoint.t
 
-    def flows(self, dst: Optional[str] = None):
-        """(ingress, address, owner) triples over the flow universe."""
-        from repro.net.addr import parse_ipv4
-
-        wanted = None if dst is None else parse_ipv4(dst)
-        for address in sorted(self.universe):
-            if wanted is not None and address != wanted:
+    def flows(self, address: Optional[int] = None):
+        """(ingress, owned address) flows over the whole stream's
+        universe, keyed as such, with the address's owner."""
+        for flow_address in sorted(self.universe):
+            if address is not None and flow_address != address:
                 continue
-            owner = self.universe[address]
+            owner = self.universe[flow_address]
             for ingress in self.ingresses:
                 if ingress == owner:
                     continue
-                yield ingress, address, owner
+                yield (
+                    (ingress, flow_address),
+                    self.dispositions(ingress, flow_address),
+                    owner,
+                )
 
-    def dispositions(self, ingress: str, address: int) -> frozenset:
-        return self.engine.dispositions(
-            ingress, self.engine.atom_index_of(address)
-        )
-
-    def walk(self, ingress: str, address: int) -> WalkResult:
-        if self._walker is None:
-            self._walker = ForwardingWalk(self.checkpoint.dataplane)
-        return self._walker.walk(ingress, address)
+    def owned(self, key) -> bool:
+        return True  # the universe holds owned addresses only
 
     def install_rate(self) -> Optional[float]:
         """Installs per sim-second over this checkpoint's window."""
@@ -154,7 +151,7 @@ def _cold_engine(checkpoint: Checkpoint) -> AtomGraphEngine:
 
 def evaluate_stream(
     stream: CheckpointStream,
-    invariants: Optional[Sequence[TemporalInvariant]] = None,
+    invariants: Optional[Sequence[Invariant]] = None,
     *,
     use_delta: bool = True,
 ) -> TemporalReport:
@@ -163,11 +160,10 @@ def evaluate_stream(
     Intervals are ordered by (t_start, invariant, witness) so
     incremental and oracle runs compare row-for-row.
     """
-    from repro.temporal.invariants import default_invariants
-
     checks = (
         list(invariants) if invariants is not None else default_invariants()
     )
+    names = [stream_name(invariant) for invariant in checks]
     report = TemporalReport(checkpoints=len(stream), use_delta=use_delta)
     if not stream.checkpoints:
         return report
@@ -200,11 +196,11 @@ def evaluate_stream(
                 "Wall seconds advancing the warm engine one checkpoint",
             ).observe(step_seconds)
 
-        probe = CheckpointProbe(
+        probe = _CheckpointProbe(
             checkpoint, engine, universe, ingresses, prev_t
         )
         for slot, invariant in enumerate(checks):
-            active = invariant.findings(probe)
+            active = dict(invariant.findings(probe))
             for key, detail in active.items():
                 handle = (slot, key)
                 if handle not in open_intervals:
@@ -224,7 +220,7 @@ def evaluate_stream(
                     handle
                 )
                 interval = ViolationInterval(
-                    invariant=invariant.name,
+                    invariant=names[slot],
                     t_start=t_start,
                     t_end=checkpoint.t,
                     ingress=ingress,
@@ -245,7 +241,7 @@ def evaluate_stream(
         # never suppressed by the transient tolerance.
         closed.append(
             ViolationInterval(
-                invariant=checks[slot].name,
+                invariant=names[slot],
                 t_start=t_start,
                 t_end=final_t,
                 ingress=ingress,

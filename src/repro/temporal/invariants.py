@@ -1,36 +1,37 @@
-"""Temporal invariants and their violation intervals.
+"""The stream lift's vocabulary: violation intervals and their names.
 
-A temporal invariant is a predicate evaluated at every checkpoint of a
-:class:`~repro.temporal.checkpoints.CheckpointStream`; the evaluator
-turns per-checkpoint findings into half-open intervals ``[t_start,
-t_end)`` — the violation held from the checkpoint at ``t_start`` and
-was first observed clear at ``t_end``. An interval that clears before
-the final checkpoint is *transient*: it is precisely the class of
-defect a post-convergence snapshot verification can never see. An
-interval still open at the final checkpoint is persistent and would
-also be caught by ``mfv verify``; it is reported here too, flagged
-``transient=False``, so the temporal report subsumes the snapshot one.
+The invariants themselves live in :mod:`repro.verify.invariants`; the
+temporal evaluator evaluates each at every checkpoint of a
+:class:`~repro.temporal.checkpoints.CheckpointStream` and turns its
+findings into half-open intervals ``[t_start, t_end)`` — the violation
+held from the checkpoint at ``t_start`` and was first observed clear at
+``t_end``. An interval that clears before the final checkpoint is
+*transient*: it is precisely the class of defect a post-convergence
+snapshot verification can never see. An interval still open at the
+final checkpoint is persistent and would also be caught by ``mfv
+verify``; it is reported here too, flagged ``transient=False``, so the
+temporal report subsumes the snapshot one.
 
-``max_sim_s`` on the loop/blackhole invariants is a tolerance: transient
-intervals lasting no longer than that many simulated seconds are
-expected convergence noise and suppressed. Persistent intervals are
-never suppressed — they last forever.
+An invariant's ``max_sim_s`` is a tolerance: transient intervals
+lasting no longer than that many simulated seconds are expected
+convergence noise and suppressed. Persistent intervals are never
+suppressed — they last forever.
+
+:class:`MaxChurn` lives here because a route-install rate only means
+something over a stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.dataplane.forwarding import Disposition
 from repro.net.addr import format_ipv4
+from repro.verify.invariants import Blackhole, Invariant, Loop, Waypoint
 
 NO_TRANSIENT_LOOP = "no-transient-loop"
 BLACKHOLE_WINDOW = "blackhole-window"
 MAX_CHURN = "max-churn"
 WAYPOINT_ALWAYS = "waypoint-always"
-
-_BLACKHOLE = frozenset({Disposition.NO_ROUTE, Disposition.NULL_ROUTED})
 
 
 @dataclass(frozen=True)
@@ -78,122 +79,44 @@ class ViolationInterval:
         )
 
 
-class TemporalInvariant:
-    """Base: findings active at one checkpoint, keyed for continuity.
-
-    ``findings(probe)`` returns ``{key: detail}``; the evaluator opens
-    an interval when a key first appears and closes it when the key
-    vanishes. Keys must therefore be stable across checkpoints for the
-    same logical violation — (ingress, destination) pairs for flow
-    invariants, a constant for network-wide ones.
-    """
-
-    name = "invariant"
-    #: Transient intervals lasting <= this many sim-seconds are noise.
-    max_sim_s = 0.0
-
-    def findings(self, probe) -> dict:
-        raise NotImplementedError
-
-
-class NoTransientLoop(TemporalInvariant):
-    """No forwarding loop, even mid-convergence, lasting > ``max_sim_s``."""
-
-    name = NO_TRANSIENT_LOOP
-
-    def __init__(self, max_sim_s: float = 0.0) -> None:
-        self.max_sim_s = max_sim_s
-
-    def findings(self, probe) -> dict:
-        active = {}
-        for ingress, address, owner in probe.flows():
-            if Disposition.LOOP in probe.dispositions(ingress, address):
-                active[(ingress, address)] = (
-                    f"loop toward {owner}"
-                )
-        return active
-
-
-class BlackholeWindow(TemporalInvariant):
-    """Traffic to ``dst`` (default: every owned address) must not fall
-    into NO_ROUTE/NULL_ROUTED for longer than ``max_sim_s``."""
-
-    name = BLACKHOLE_WINDOW
-
-    def __init__(
-        self, dst: Optional[str] = None, max_sim_s: float = 0.0
-    ) -> None:
-        self.dst = dst
-        self.max_sim_s = max_sim_s
-
-    def findings(self, probe) -> dict:
-        active = {}
-        for ingress, address, owner in probe.flows(dst=self.dst):
-            if probe.dispositions(ingress, address) & _BLACKHOLE:
-                active[(ingress, address)] = f"blackhole toward {owner}"
-        return active
-
-
-class MaxChurn(TemporalInvariant):
+class MaxChurn(Invariant):
     """Route-install rate across the network stays <= ``installs_per_s``.
 
     Rate is measured per checkpoint window: installs coalesced into the
     checkpoint divided by sim-time elapsed since the previous one.
     """
 
-    name = MAX_CHURN
-
     def __init__(self, installs_per_s: float) -> None:
         self.installs_per_s = installs_per_s
 
-    def findings(self, probe) -> dict:
+    def findings(self, probe):
         rate = probe.install_rate()
         if rate is not None and rate > self.installs_per_s:
-            return {
-                "rate": (
-                    f"{rate:.1f} installs/s > "
-                    f"limit {self.installs_per_s:.1f}"
-                )
-            }
-        return {}
+            yield "rate", (
+                f"{rate:.1f} installs/s > limit {self.installs_per_s:.1f}"
+            )
 
 
-class WaypointAlways(TemporalInvariant):
-    """Every successful path to ``dst`` traverses device ``via`` at
-    every checkpoint — service-chain insertion that must hold even
-    while routes are moving."""
-
-    name = WAYPOINT_ALWAYS
-
-    def __init__(self, dst: str, via: str, max_sim_s: float = 0.0) -> None:
-        from repro.net.addr import parse_ipv4
-
-        self.dst = dst
-        self.address = parse_ipv4(dst)
-        self.via = via
-        self.max_sim_s = max_sim_s
-
-    def findings(self, probe) -> dict:
-        active = {}
-        for ingress in probe.ingresses:
-            if ingress == self.via:
-                continue
-            result = probe.walk(ingress, self.address)
-            for trace in result.traces:
-                if not trace.disposition.is_success:
-                    continue
-                if all(hop.device != self.via for hop in trace.hops):
-                    active[(ingress, self.address)] = (
-                        f"path skips waypoint {self.via}"
-                    )
-                    break
-        return active
+_NAMES = {
+    Loop: NO_TRANSIENT_LOOP,
+    Blackhole: BLACKHOLE_WINDOW,
+    Waypoint: WAYPOINT_ALWAYS,
+    MaxChurn: MAX_CHURN,
+}
 
 
-def default_invariants() -> list[TemporalInvariant]:
+def stream_name(invariant: Invariant) -> str:
+    """The name an invariant's violation intervals carry."""
+    name = _NAMES.get(type(invariant))
+    if name is None:
+        raise ValueError(f"{type(invariant).__name__} has no stream lift")
+    return name
+
+
+def default_invariants() -> list[Invariant]:
     """The `mfv temporal` defaults: loops and blackholes, zero
     tolerance — every positive-width transient window is reported."""
-    return [NoTransientLoop(), BlackholeWindow()]
+    return [Loop(), Blackhole()]
 
 
 def describe_key(key) -> tuple[str, str]:

@@ -89,6 +89,14 @@ class DifferentialRow:
         )
 
 
+#: BaselineComparison field -> the verification_summary count it charges.
+_CHARGED = {
+    "new_loops": "loops",
+    "new_blackholes": "blackholes",
+    "new_unreachable_pairs": "unreachable_pairs",
+}
+
+
 @dataclass(frozen=True)
 class BaselineComparison:
     """One snapshot judged against a fixed baseline.
@@ -153,14 +161,7 @@ class BaselineDiff:
             if collector.enabled:
                 collector.count("verify.baseline_diff_skips")
             self.last_delta_stats = None
-            return BaselineComparison(
-                rows=(),
-                invariants=dict(self.baseline_invariants),
-                new_loops=0,
-                new_blackholes=0,
-                new_unreachable_pairs=0,
-                identical=True,
-            )
+            return self._judge((), self.baseline_invariants, identical=True)
         # Rows first: differential_reachability derives the snapshot's
         # engine from the baseline's via the delta path, and the
         # invariant summary below reuses it from the content cache —
@@ -168,23 +169,21 @@ class BaselineDiff:
         # its churn, never to the network.
         rows = differential_reachability(self.reference, snapshot)
         self.last_delta_stats = engine_for(snapshot).delta_stats
-        invariants = verification_summary(snapshot)
+        return self._judge(rows, verification_summary(snapshot))
+
+    def _judge(
+        self, rows, invariants: dict[str, int], identical: bool = False
+    ) -> BaselineComparison:
+        """Charge ``invariants`` for every summary count it adds over
+        the baseline's, clamped at zero."""
         return BaselineComparison(
             rows=tuple(rows),
-            invariants=invariants,
-            new_loops=max(
-                0, invariants["loops"] - self.baseline_invariants["loops"]
-            ),
-            new_blackholes=max(
-                0,
-                invariants["blackholes"]
-                - self.baseline_invariants["blackholes"],
-            ),
-            new_unreachable_pairs=max(
-                0,
-                invariants["unreachable_pairs"]
-                - self.baseline_invariants["unreachable_pairs"],
-            ),
+            invariants=dict(invariants),
+            identical=identical,
+            **{
+                field: max(0, invariants[key] - self.baseline_invariants[key])
+                for field, key in _CHARGED.items()
+            },
         )
 
 

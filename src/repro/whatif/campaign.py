@@ -100,7 +100,7 @@ class WhatIfCampaign:
         self.convergence_max_time = convergence_max_time
         self.seed = seed
         # Opt-in transient-state scoring: True (default invariants) or a
-        # sequence of TemporalInvariant. Each scenario's apply→converge
+        # sequence of invariants. Each scenario's apply→converge
         # window is recorded and evaluated, and the interval counts land
         # on its verdict (temporal_* fields).
         self.temporal = temporal

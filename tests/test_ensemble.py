@@ -20,7 +20,6 @@ from repro.ensemble import (
     EnsembleRunner,
     EnsembleWitness,
     RowObservation,
-    Waypoint,
     brute_force_verdicts,
     default_ensemble_invariants,
     fold,
@@ -31,6 +30,7 @@ from repro.ensemble import (
 from repro.obs import ConvergenceTimeline, tracing
 from repro.protocols.timers import FAST_TIMERS
 from repro.verify.engine import clear_engine_cache
+from repro.verify.invariants import Waypoint
 
 
 def _obs(holds, weight=1, seed=0, plan="", fingerprint=None, **kw):
@@ -370,6 +370,31 @@ class TestServiceEnsembleOp:
                 {"op": "ensemble", "snapshots": ["missing"]}
             )
             assert keep and not bad["ok"]
+        finally:
+            service.stop()
+
+    @pytest.mark.parametrize(
+        "spec", ["2.2.2.1", "2.2.2.1:", ":r2", "2.2.2.x:r2"]
+    )
+    def test_malformed_waypoint_rejected_before_queueing(
+        self, fig2_snapshots, spec
+    ):
+        from repro.service.frontend import ServiceFrontend
+        from repro.service.service import VerificationService
+
+        service = VerificationService(workers=1).start()
+        try:
+            service.register_snapshot(fig2_snapshots[0])
+            with pytest.raises(ValueError):
+                service.submit_ensemble(waypoint=spec)
+            response, keep = ServiceFrontend(service).handle(
+                {"op": "ensemble", "waypoint": spec}
+            )
+            assert keep and not response["ok"]
+            assert "DEST_IP:VIA_NODE" in response["error"] or (
+                "IPv4" in response["error"]
+            )
+            assert service.stats()["counters"]["jobs_submitted"] == 0
         finally:
             service.stop()
 

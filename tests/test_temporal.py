@@ -29,12 +29,9 @@ from repro.gnmi.aft import (
 from repro.obs import ConvergenceTimeline, summary_text, tracing
 from repro.protocols.timers import FAST_TIMERS
 from repro.temporal import (
-    BlackholeWindow,
     CheckpointRecorder,
     CheckpointStream,
     MaxChurn,
-    NoTransientLoop,
-    WaypointAlways,
     evaluate_stream,
 )
 from repro.temporal.checkpoints import (
@@ -43,7 +40,13 @@ from repro.temporal.checkpoints import (
 )
 from repro.verify import engine as engine_mod
 from repro.verify.engine import AtomGraphEngine
-from repro.verify.invariants import detect_blackholes, detect_loops
+from repro.verify.invariants import (
+    Blackhole,
+    Loop,
+    Waypoint,
+    detect_blackholes,
+    detect_loops,
+)
 from repro.whatif import WhatIfCampaign, link_flap_scenarios
 
 
@@ -389,7 +392,7 @@ class TestInvariants:
         # blackhole window, when there is no successful trace to judge)
         # and is still violated at the final, converged checkpoint.
         report = assert_matches_oracle(
-            fig3_stream, [WaypointAlways("2.2.2.2", "r3")]
+            fig3_stream, [Waypoint("2.2.2.2", "r3")]
         )
         assert report.intervals
         assert all(i.invariant == "waypoint-always" for i in report.intervals)
@@ -406,14 +409,14 @@ class TestInvariants:
 
     def test_tolerance_suppresses_short_transients(self, fig3_stream):
         baseline = evaluate_stream(
-            fig3_stream, [NoTransientLoop(), BlackholeWindow()]
+            fig3_stream, [Loop(), Blackhole()]
         )
         assert baseline.transient
         tolerant = evaluate_stream(
             fig3_stream,
             [
-                NoTransientLoop(max_sim_s=1e9),
-                BlackholeWindow(max_sim_s=1e9),
+                Loop(max_sim_s=1e9),
+                Blackhole(max_sim_s=1e9),
             ],
         )
         assert tolerant.transient == []
@@ -537,3 +540,11 @@ class TestCli:
         fig3_stream.save(path)
         with pytest.raises(SystemExit):
             main(["temporal", "--replay", str(path), "--waypoint", "bad"])
+
+    def test_waypoint_bad_address_exits_cleanly(self, fig3_stream, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "stream.json"
+        fig3_stream.save(path)
+        with pytest.raises(SystemExit, match="IPv4"):
+            main(["temporal", "--replay", str(path), "--waypoint", "2.2.2.x:r3"])
