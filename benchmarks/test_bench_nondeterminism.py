@@ -1,4 +1,4 @@
-"""D1 (§6): nondeterministic convergence, explored by multi-run.
+"""D1 (§6): nondeterministic convergence, explored by a seeded ensemble.
 
 Paper: one emulation run produces one converged state; ordering/timing
 tiebreaks can admit several. "For higher confidence, our emulation
@@ -10,12 +10,15 @@ Two workloads:
   seed must converge to an equivalent dataplane;
 * a BGP topology with two equal candidates whose tiebreak is the
   arrival-order-sensitive peer choice — seeds may legitimately disagree,
-  and the multi-run report must expose it rather than hide it.
+  and the ensemble report must expose it rather than hide it.
+
+Each workload runs once per seed through :class:`EnsembleRunner`, which
+folds the runs into distinct converged states by forwarding fingerprint.
 """
 
-from repro.core.multirun import explore_nondeterminism
-from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.fig3 import fig3_scenario
+from repro.ensemble import EnsembleRunner
+from repro.net.addr import parse_ipv4
 from repro.protocols.timers import FAST_TIMERS
 from repro.topo.builder import TopologyBuilder
 
@@ -24,20 +27,25 @@ from benchmarks.conftest import run_once
 SEEDS = (0, 1, 2, 3)
 
 
-def test_d1_deterministic_workload_agrees_across_seeds(benchmark, report):
-    def run():
-        scenario = fig3_scenario()
-        backend = ModelFreeBackend(
-            scenario.topology, timers=FAST_TIMERS, quiet_period=5.0
-        )
-        return explore_nondeterminism(backend, seeds=SEEDS)
+def _ensemble(topology) -> EnsembleRunner:
+    return EnsembleRunner(
+        topology,
+        seeds=SEEDS,
+        invariants=(),
+        timers=FAST_TIMERS,
+        quiet_period=5.0,
+    )
 
-    result = run_once(benchmark, run)
+
+def test_d1_deterministic_workload_agrees_across_seeds(benchmark, report):
+    runner = _ensemble(fig3_scenario().topology)
+    result = run_once(benchmark, runner.run)
     report.add(
         "D1", f"IS-IS line, {len(SEEDS)} seeded runs",
         "single converged state expected",
         "all seeds equivalent" if result.deterministic else "DIVERGED",
     )
+    assert result.runs == len(SEEDS)
     assert result.deterministic
 
 
@@ -92,27 +100,19 @@ def _peer(address: str) -> str:
 
 def test_d1_tiebreak_workload_converges_but_is_comparable(benchmark, report):
     run_once(benchmark, lambda: None)
-    topology = _race_topology()
-    backend = ModelFreeBackend(
-        topology, timers=FAST_TIMERS, quiet_period=5.0
-    )
-    result = explore_nondeterminism(backend, seeds=SEEDS)
+    runner = _ensemble(_race_topology())
+    result = runner.run()
     # The deterministic final tiebreak (lowest peer address) makes even
-    # this race converge identically — and the multi-run harness is what
+    # this race converge identically — and the seeded ensemble is what
     # *demonstrates* that, which is the paper's proposed methodology.
-    pairs = len(result.divergences)
     report.add(
-        "D1", "BGP tiebreak race, pairwise dataplane diffs",
+        "D1", "BGP tiebreak race, seeded runs folded by fingerprint",
         "multiple runs compared in parallel",
-        f"{pairs} seed pairs compared, "
-        + ("all equivalent" if result.deterministic else
-           f"{len(result.divergent_pairs)} diverged"),
+        f"{result.runs} runs, {result.distinct} distinct dataplane(s)",
     )
-    assert pairs == len(SEEDS) * (len(SEEDS) - 1) // 2
-    for snapshot in result.snapshots:
-        entry = snapshot.dataplane.devices["r1"].lookup(
-            __import__("repro.net.addr", fromlist=["parse_ipv4"]).parse_ipv4(
-                "99.99.99.1"
-            )
-        )
+    assert result.runs == len(SEEDS)
+    assert result.deterministic
+    destination = parse_ipv4("99.99.99.1")
+    for record in runner.last_records:
+        entry = record.snapshot.dataplane.devices["r1"].lookup(destination)
         assert entry is not None

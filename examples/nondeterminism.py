@@ -1,44 +1,45 @@
 #!/usr/bin/env python3
-"""D1 (§6): explore convergence nondeterminism with seeded multi-runs.
+"""D1 (§6): explore convergence nondeterminism with a seeded ensemble.
 
 One emulation run yields one converged dataplane; message ordering can
 admit others. This example runs the same scenario under several seeds
-(different message timing) and diffs every pair of resulting dataplanes
-— the paper's proposed mitigation, made concrete.
+(different message timing), groups the resulting dataplanes by
+forwarding fingerprint, and folds the invariants over the distinct
+states — the paper's proposed mitigation, made concrete.
 
 Run:  python examples/nondeterminism.py
 """
 
-from repro import ModelFreeBackend, explore_nondeterminism
+from repro import EnsembleRunner
 from repro.corpus import fig3_scenario
 from repro.protocols.timers import FAST_TIMERS
 
 
 def main() -> None:
     scenario = fig3_scenario()
-    backend = ModelFreeBackend(
-        scenario.topology, timers=FAST_TIMERS, quiet_period=5.0
-    )
     seeds = (0, 1, 2, 3, 4)
+    runner = EnsembleRunner(
+        scenario.topology, seeds=seeds, timers=FAST_TIMERS, quiet_period=5.0
+    )
     print(f"Running {len(seeds)} seeded emulations of {scenario.topology}...")
-    result = explore_nondeterminism(backend, seeds=seeds)
+    report = runner.run()
 
-    for snapshot in result.snapshots:
+    for record in runner.last_records:
+        snapshot = record.snapshot
         print(
-            f"  seed {snapshot.seed}: converged in "
+            f"  seed {record.seed}: converged in "
             f"{snapshot.convergence_seconds:.2f} sim-s "
             f"({len(snapshot.afts)} AFTs)"
         )
 
     print()
-    print("Pairwise dataplane comparison:")
-    for (a, b), rows in sorted(result.divergences.items()):
-        verdict = "equivalent" if not rows else f"{len(rows)} differences"
-        print(f"  seed {a} vs seed {b}: {verdict}")
+    print("Distinct converged dataplanes:")
+    for outcome in report.outcomes:
+        members = ", ".join(str(seed) for seed, _plan in outcome.members)
+        print(f"  {outcome.fingerprint:#018x}: seeds {members}")
 
     print()
-    print("Summary:", result.summary())
-    if result.deterministic:
+    if report.deterministic:
         print(
             "All seeds agree — high confidence the converged state is "
             "unique for this configuration and context."
@@ -46,8 +47,10 @@ def main() -> None:
     else:
         print(
             "Seeds disagree — this configuration has ordering-dependent "
-            "behaviour worth investigating before trusting one run."
+            "behaviour worth investigating before trusting one run:"
         )
+        for verdict in report.unstable:
+            print(f"  {verdict}")
 
 
 if __name__ == "__main__":

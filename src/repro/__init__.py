@@ -25,7 +25,6 @@ from repro.core import (
     ScenarioContext,
     Snapshot,
     compare_snapshots,
-    explore_nondeterminism,
 )
 from repro.ensemble import (
     HOLDS_ALWAYS,
@@ -62,7 +61,6 @@ __all__ = [
     "Snapshot",
     "WhatIfCampaign",
     "compare_snapshots",
-    "explore_nondeterminism",
     "single_link_failures",
     "single_node_failures",
     "__version__",

@@ -3,28 +3,24 @@
 Subcommands::
 
     mfv [-v|-vv] verify TOPOLOGY [--backend emulation|model]
-                                 [--workers N] [--save SNAP.json]
-                                 [--trace OUT.jsonl] [--delta-stats]
+                                 [--save SNAP.json] [--trace OUT.jsonl]
+                                 [--delta-stats]
     mfv diff REFERENCE.json SNAPSHOT.json [--delta-stats]
     mfv trace SNAPSHOT.json NODE DEST
     mfv routes SNAPSHOT.json [NODE]
     mfv demo {fig2,fig3,production} [--trace OUT.jsonl]
-    mfv whatif [TOPOLOGY] [--corpus fig2|fig3|production]
-               [--mode links|nodes|flaps|k-links] [--k K] [--limit N]
-               [--workers N] [--json OUT.json] [--trace OUT.jsonl]
-    mfv chaos [TOPOLOGY] [--corpus fig2|fig3|production]
-              [--plan acceptance|sampled] [--plan-seed N] [--intensity N]
-              [--seeds N|a,b,c] [--temporal] [--json OUT.json]
-              [--trace OUT.jsonl]
-    mfv ensemble [TOPOLOGY] [--corpus fig2|fig3|production]
-                 [--seeds N|a,b,c] [--plans none|acceptance|sampled]
-                 [--temporal] [--waypoint DEST_IP:VIA_NODE] [--workers N]
-                 [--json OUT.json] [--trace OUT.jsonl]
-    mfv temporal [TOPOLOGY] [--corpus fig2|fig3|production]
-                 [--flap A-Z] [--flap-hold S] [--replay STREAM.json]
-                 [--save-stream OUT.json] [--brute-force]
-                 [--max-churn N] [--waypoint DEST_IP:VIA_NODE]
-                 [--json OUT.json] [--trace OUT.jsonl]
+    mfv whatif DEPLOYMENT [--mode links|nodes|flaps|k-links] [--k K]
+               [--limit N] [--workers N]
+    mfv chaos DEPLOYMENT [--plan acceptance|sampled] FAULT-PLAN
+              [--no-crash] [--seeds N|a,b,c] [--temporal]
+    mfv ensemble DEPLOYMENT [--seeds N|a,b,c]
+                 [--plans none|acceptance|sampled] [--plan-count N]
+                 FAULT-PLAN [--temporal] [--waypoint DEST_IP:VIA_NODE]
+                 [--workers N]
+    mfv temporal DEPLOYMENT [--flap A-Z] [--flap-hold S]
+                 [--replay STREAM.json] [--save-stream OUT.json]
+                 [--brute-force] [--max-churn N]
+                 [--waypoint DEST_IP:VIA_NODE]
     mfv obs timeline [--scenario fig2|fig3|whatif] [--topology FILE]
                      [--trace OUT.jsonl]
     mfv obs summary TRACE.jsonl
@@ -35,6 +31,15 @@ Subcommands::
               [--worker-mode thread|process]
     mfv submit SNAPSHOT.json QUESTION [--param KEY=VALUE ...]
                [--reference REF.json] [--priority CLASS] [--timeout S]
+
+where ``DEPLOYMENT`` is the argument group the four sweep verbs share,
+``[TOPOLOGY] [--corpus fig2|fig3|production] [--nodes N] [--routes N]
+[--quiet-period S] [--fast] [--json OUT.json] [--trace OUT.jsonl]``
+(``--corpus`` defaults to fig2 for ``whatif``, production for ``chaos``
+and fig3 otherwise), and ``FAULT-PLAN`` is ``[--plan-seed N]
+[--intensity N] [--crash-at S]``. ``--workers N`` deals the campaign's
+scenarios or the ensemble's (seed x plan) members round-robin to N
+processes, each on its own deployment.
 
 ``verify`` takes a KNE-style topology file (see
 :mod:`repro.topo.parser`) whose nodes reference config files, runs the
@@ -196,10 +201,10 @@ def _run_verify(args: argparse.Namespace) -> int:
     phases = snapshot.metadata.setdefault("phases", {})
     with phase("verify", None, phases):
         dataplane = snapshot.dataplane
-        # Build the shared atom-graph engine up front (optionally across
-        # worker processes); every check below answers from its tables.
+        # Build the shared atom-graph engine up front; every check
+        # below answers from its tables.
         engine = engine_for(dataplane)
-        engine.precompute(workers=args.workers)
+        engine.precompute()
         if args.delta_stats:
             _print_delta_stats(engine)
         print(verify_pairwise_reachability_text(dataplane))
@@ -320,8 +325,8 @@ def _run_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _whatif_setup(args: argparse.Namespace):
-    """Resolve the whatif target: (topology, context, timers, quiet)."""
+def _deployment(args: argparse.Namespace):
+    """Resolve the deployment arguments: (topology, context, timers, quiet)."""
     from repro.core.context import ScenarioContext
     from repro.protocols.timers import FAST_TIMERS, PRODUCTION_TIMERS
 
@@ -383,7 +388,7 @@ def _whatif_scenarios(args: argparse.Namespace, topology):
 def _run_whatif(args: argparse.Namespace) -> int:
     from repro.whatif import WhatIfCampaign
 
-    topology, context, timers, quiet = _whatif_setup(args)
+    topology, context, timers, quiet = _deployment(args)
     scenarios = _whatif_scenarios(args, topology)
     if not scenarios:
         print("no scenarios to run")
@@ -420,20 +425,10 @@ def _parse_seeds(spec):
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import acceptance_plan, run_chaos, sampled_plan
+    from repro.chaos import run_chaos
 
-    topology, context, timers, quiet = _whatif_setup(args)
-    names = sorted(spec.name for spec in topology.nodes)
-    if args.plan == "acceptance":
-        plan = acceptance_plan(names, crash_at=args.crash_at)
-    else:
-        plan = sampled_plan(
-            names,
-            seed=args.plan_seed,
-            intensity=args.intensity,
-            crash=not args.no_crash,
-            crash_at=args.crash_at,
-        )
+    topology, context, timers, quiet = _deployment(args)
+    [plan] = _fault_plans(args, topology, args.plan, crash=not args.no_crash)
     print(f"chaos run over {topology.name}: plan {plan.name!r}, "
           f"{len(plan)} fault(s)")
     for line in plan.describe()["faults"]:
@@ -472,37 +467,42 @@ def _run_chaos(args: argparse.Namespace) -> int:
     return 0 if report.survived else 2
 
 
-def _ensemble_plans(args: argparse.Namespace, topology) -> list:
-    """The fault-plan axis: always includes the fault-free member."""
-    plans = [None]
-    if args.plans == "none":
-        return plans
+def _fault_plans(
+    args: argparse.Namespace,
+    topology,
+    kind: str,
+    *,
+    count: int = 1,
+    crash: bool = True,
+) -> list:
+    """``count`` plans of ``kind`` over ``topology``'s nodes, drawn from
+    ``--plan-seed`` onwards (an acceptance plan is always just one)."""
+    from repro.chaos import acceptance_plan, sampled_plan
+
     names = sorted(spec.name for spec in topology.nodes)
-    if args.plans == "acceptance":
-        from repro.chaos import acceptance_plan
-
-        plans.append(acceptance_plan(names, crash_at=args.crash_at))
-    else:
-        from repro.chaos import sampled_plan
-
-        for i in range(args.plan_count):
-            plans.append(
-                sampled_plan(
-                    names,
-                    seed=args.plan_seed + i,
-                    intensity=args.intensity,
-                    crash_at=args.crash_at,
-                )
-            )
-    return plans
+    if kind == "acceptance":
+        return [acceptance_plan(names, crash_at=args.crash_at)]
+    return [
+        sampled_plan(
+            names,
+            seed=args.plan_seed + i,
+            intensity=args.intensity,
+            crash=crash,
+            crash_at=args.crash_at,
+        )
+        for i in range(count)
+    ]
 
 
 def _run_ensemble(args: argparse.Namespace) -> int:
     from repro.ensemble import EnsembleRunner, default_ensemble_invariants
 
-    topology, context, timers, quiet = _whatif_setup(args)
+    topology, context, timers, quiet = _deployment(args)
     seeds = _parse_seeds(args.seeds)
-    plans = _ensemble_plans(args, topology)
+    # The fault-free member is always in the matrix.
+    plans = [None]
+    if args.plans != "none":
+        plans += _fault_plans(args, topology, args.plans, count=args.plan_count)
     invariants = default_ensemble_invariants()
     if args.waypoint:
         invariants.append(_parse_waypoint(args.waypoint))
@@ -576,7 +576,7 @@ def _run_temporal(args: argparse.Namespace) -> int:
             f"{len(stream.initial.dataplane.devices)} device(s)"
         )
     else:
-        topology, context, timers, quiet = _whatif_setup(args)
+        topology, context, timers, quiet = _deployment(args)
         backend = ModelFreeBackend(
             topology, timers=timers, quiet_period=quiet
         )
@@ -821,6 +821,59 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_deployment_args(
+    parser: argparse.ArgumentParser, *, corpus: str
+) -> None:
+    """What to deploy and where the output goes: the argument group
+    ``whatif``, ``chaos``, ``ensemble`` and ``temporal`` share."""
+    group = parser.add_argument_group("deployment")
+    group.add_argument(
+        "topology",
+        nargs="?",
+        default=None,
+        help="KNE-style topology file (default: a built-in corpus)",
+    )
+    group.add_argument(
+        "--corpus",
+        choices=("fig2", "fig3", "production"),
+        default=corpus,
+        help="built-in corpus when no topology file is given",
+    )
+    group.add_argument(
+        "--nodes", type=int, default=8, help="production corpus size"
+    )
+    group.add_argument(
+        "--routes", type=int, default=1000,
+        help="production corpus routes per peer",
+    )
+    group.add_argument("--quiet-period", type=float, default=None)
+    group.add_argument(
+        "--fast", action="store_true",
+        help="compressed protocol timers for a topology file",
+    )
+    group.add_argument("--json", help="write the report JSON here")
+    group.add_argument(
+        "--trace", help="record an observability trace to this JSONL file"
+    )
+
+
+def _add_fault_plan_args(parser: argparse.ArgumentParser) -> None:
+    """The knobs :func:`_fault_plans` reads (``chaos``, ``ensemble``)."""
+    group = parser.add_argument_group("fault plan")
+    group.add_argument(
+        "--plan-seed", type=int, default=0,
+        help="seed for the (first) sampled plan's fault draw",
+    )
+    group.add_argument(
+        "--intensity", type=int, default=3,
+        help="fault count per sampled plan",
+    )
+    group.add_argument(
+        "--crash-at", type=float, default=900.0,
+        help="simulated seconds before a plan's pod crash fires",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfv", description="Model-free network verification"
@@ -840,12 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--quiet-period", type=float, default=30.0)
-    verify.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="precompute atom-graph verdicts across N worker processes",
-    )
     verify.add_argument("--save", help="write the snapshot JSON here")
     verify.add_argument(
         "--trace", help="record an observability trace to this JSONL file"
@@ -891,25 +938,7 @@ def build_parser() -> argparse.ArgumentParser:
     whatif = sub.add_parser(
         "whatif", help="fault-exploration campaign on a warm deployment"
     )
-    whatif.add_argument(
-        "topology",
-        nargs="?",
-        default=None,
-        help="KNE-style topology file (default: a built-in corpus)",
-    )
-    whatif.add_argument(
-        "--corpus",
-        choices=("fig2", "fig3", "production"),
-        default="fig2",
-        help="built-in corpus when no topology file is given",
-    )
-    whatif.add_argument(
-        "--nodes", type=int, default=8, help="production corpus size"
-    )
-    whatif.add_argument(
-        "--routes", type=int, default=1000,
-        help="production corpus routes per peer",
-    )
+    _add_deployment_args(whatif, corpus="fig2")
     whatif.add_argument(
         "--mode",
         choices=("links", "nodes", "flaps", "k-links"),
@@ -928,21 +957,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the first N scenarios",
     )
     whatif.add_argument("--seed", type=int, default=0)
-    whatif.add_argument("--quiet-period", type=float, default=None)
     whatif.add_argument(
-        "--fast", action="store_true",
-        help="compressed protocol timers for a topology file",
-    )
-    whatif.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard scenarios across N worker processes "
-        "(each pays its own cold bring-up)",
-    )
-    whatif.add_argument("--json", help="write the campaign report JSON here")
-    whatif.add_argument(
-        "--trace", help="record an observability trace to this JSONL file"
+        "--workers", type=int, default=1,
+        help="shard scenarios across N worker processes, each paying its "
+        "own cold bring-up; default: %(default)s (in process)",
     )
     whatif.set_defaults(func=_traced(_run_whatif))
 
@@ -950,25 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run a corpus under a fault plan and score verdict stability",
     )
-    chaos.add_argument(
-        "topology",
-        nargs="?",
-        default=None,
-        help="KNE-style topology file (default: a built-in corpus)",
-    )
-    chaos.add_argument(
-        "--corpus",
-        choices=("fig2", "fig3", "production"),
-        default="production",
-        help="built-in corpus when no topology file is given",
-    )
-    chaos.add_argument(
-        "--nodes", type=int, default=8, help="production corpus size"
-    )
-    chaos.add_argument(
-        "--routes", type=int, default=1000,
-        help="production corpus routes per peer",
-    )
+    _add_deployment_args(chaos, corpus="production")
     chaos.add_argument(
         "--plan",
         choices=("acceptance", "sampled"),
@@ -976,21 +976,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="acceptance: one crash + gNMI flakes; "
         "sampled: seed-drawn fault mix",
     )
-    chaos.add_argument(
-        "--plan-seed", type=int, default=0,
-        help="seed for the sampled plan's fault draw",
-    )
-    chaos.add_argument(
-        "--intensity", type=int, default=3,
-        help="fault count for the sampled plan",
-    )
+    _add_fault_plan_args(chaos)
     chaos.add_argument(
         "--no-crash", action="store_true",
         help="sampled plan: skip the pod crash",
-    )
-    chaos.add_argument(
-        "--crash-at", type=float, default=900.0,
-        help="simulated seconds before the pod crash fires",
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
@@ -998,19 +987,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="score stability over an ensemble of faulted runs: a count "
         "(\"8\" = seeds 0..7) or a comma list (\"1,5,9\")",
     )
-    chaos.add_argument("--quiet-period", type=float, default=None)
-    chaos.add_argument(
-        "--fast", action="store_true",
-        help="compressed protocol timers for a topology file",
-    )
     chaos.add_argument(
         "--temporal", action="store_true",
         help="record a checkpoint stream through the faulted run and "
         "score transient-state invariants",
-    )
-    chaos.add_argument("--json", help="write the chaos report JSON here")
-    chaos.add_argument(
-        "--trace", help="record an observability trace to this JSONL file"
     )
     chaos.set_defaults(func=_traced(_run_chaos))
 
@@ -1019,25 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded ensemble verification: holds-always / "
         "holds-sometimes / never over the set of converged states",
     )
-    ensemble.add_argument(
-        "topology",
-        nargs="?",
-        default=None,
-        help="KNE-style topology file (default: a built-in corpus)",
-    )
-    ensemble.add_argument(
-        "--corpus",
-        choices=("fig2", "fig3", "production"),
-        default="fig3",
-        help="built-in corpus when no topology file is given",
-    )
-    ensemble.add_argument(
-        "--nodes", type=int, default=8, help="production corpus size"
-    )
-    ensemble.add_argument(
-        "--routes", type=int, default=1000,
-        help="production corpus routes per peer",
-    )
+    _add_deployment_args(ensemble, corpus="fig3")
     ensemble.add_argument(
         "--seeds", default=str(DEFAULT_SEEDS),
         help="a count (\"8\" = seeds 0..7) or a comma list (\"1,5,9\"); "
@@ -1054,18 +1016,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-count", type=int, default=2,
         help="sampled plans to draw (seeds plan-seed, plan-seed+1, ...)",
     )
-    ensemble.add_argument(
-        "--plan-seed", type=int, default=0,
-        help="seed for the first sampled plan's fault draw",
-    )
-    ensemble.add_argument(
-        "--intensity", type=int, default=3,
-        help="fault count per sampled plan",
-    )
-    ensemble.add_argument(
-        "--crash-at", type=float, default=900.0,
-        help="simulated seconds before a plan's pod crash fires",
-    )
+    _add_fault_plan_args(ensemble)
     ensemble.add_argument(
         "--temporal", action="store_true",
         help="record a checkpoint stream per member run and fold "
@@ -1076,20 +1027,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="DEST_IP:VIA_NODE — add a waypoint invariant to the battery",
     )
     ensemble.add_argument(
-        "--workers",
-        type=int,
-        default=1,
+        "--workers", type=int, default=1,
         help="shard the (seed x plan) matrix across N worker processes; "
-        "default: %(default)s (sequential)",
-    )
-    ensemble.add_argument("--quiet-period", type=float, default=None)
-    ensemble.add_argument(
-        "--fast", action="store_true",
-        help="compressed protocol timers for a topology file",
-    )
-    ensemble.add_argument("--json", help="write the ensemble report JSON here")
-    ensemble.add_argument(
-        "--trace", help="record an observability trace to this JSONL file"
+        "default: %(default)s (in process)",
     )
     ensemble.set_defaults(func=_traced(_run_ensemble))
 
@@ -1098,25 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="transient-state verification: check invariants during "
         "convergence, not just after",
     )
-    temporal.add_argument(
-        "topology",
-        nargs="?",
-        default=None,
-        help="KNE-style topology file (default: a built-in corpus)",
-    )
-    temporal.add_argument(
-        "--corpus",
-        choices=("fig2", "fig3", "production"),
-        default="fig3",
-        help="built-in corpus when no topology file is given",
-    )
-    temporal.add_argument(
-        "--nodes", type=int, default=8, help="production corpus size"
-    )
-    temporal.add_argument(
-        "--routes", type=int, default=1000,
-        help="production corpus routes per peer",
-    )
+    _add_deployment_args(temporal, corpus="fig3")
     temporal.add_argument(
         "--flap", default=None,
         help="link to flap, as an A-Z substring of the scenario name "
@@ -1157,15 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
         "VIA_NODE at every checkpoint",
     )
     temporal.add_argument("--seed", type=int, default=0)
-    temporal.add_argument("--quiet-period", type=float, default=None)
-    temporal.add_argument(
-        "--fast", action="store_true",
-        help="compressed protocol timers for a topology file",
-    )
-    temporal.add_argument("--json", help="write the temporal report JSON here")
-    temporal.add_argument(
-        "--trace", help="record an observability trace to this JSONL file"
-    )
     temporal.set_defaults(func=_traced(_run_temporal))
 
     obs = sub.add_parser("obs", help="observability: timelines and traces")

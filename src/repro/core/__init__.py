@@ -18,14 +18,11 @@ from repro.core.context import ScenarioContext
 from repro.core.snapshot import Snapshot
 from repro.core.pipeline import ModelFreeBackend, NativeBatfishBackend
 from repro.core.differential import compare_snapshots
-from repro.core.multirun import MultiRunResult, explore_nondeterminism
 
 __all__ = [
     "ModelFreeBackend",
-    "MultiRunResult",
     "NativeBatfishBackend",
     "ScenarioContext",
     "Snapshot",
     "compare_snapshots",
-    "explore_nondeterminism",
 ]

@@ -10,6 +10,9 @@ Both backends run their stages inside observability phase spans
 ``Snapshot.metadata["phases"]`` — simulated seconds for stages that
 advance the kernel clock, wall seconds for the ones (extraction, the
 model computation) that do real work while simulated time stands still.
+
+:func:`run_sharded` is the one shard pool the seed and fault sweeps
+(what-if campaign, ensemble) fan their members out on.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.batfish_model.ibdp import ModelRun, run_model
 from repro.batfish_model.issues import DEFAULT_ASSUMPTIONS, ModelAssumptions
@@ -102,6 +105,54 @@ def phase(
                 ("phase",),
                 unit="sim",
             ).observe(sim_seconds, phase=name)
+
+
+def run_sharded(
+    run_shard: Callable[[list], tuple[object, list]],
+    members: Sequence,
+    workers: int = 1,
+) -> tuple[list, list, int]:
+    """Run ``members`` on up to ``workers`` processes, results in order.
+
+    ``run_shard(shard)`` runs a list of members — on one
+    :class:`ModelFreeBackend` — and returns ``(head, results)``: one
+    shard-level value and exactly one result per member, in shard order.
+    The members are dealt round-robin to ``min(workers, len(members))``
+    processes, so shard ``i`` holds ``members[i::n]`` and its results
+    go back to those positions; a duplicate member comes back once per
+    occurrence. Returns ``(heads, results, used)`` with heads in shard
+    order.
+
+    ``run_shard`` crosses to the pool pickled, and whatever a shard
+    records on the obs bus stays in its child. One worker, one member,
+    or a pool that cannot start (no semaphores in a sandbox) runs the
+    whole list in process as one shard. An exception a member raises
+    reaches the caller once, with the type it has in process.
+    """
+    members = list(members)
+    used = min(workers, len(members))
+    if used > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            pool = ProcessPoolExecutor(max_workers=used)
+        except (OSError, NotImplementedError) as exc:
+            logger.warning(
+                "process pool unavailable (%s); running in process", exc
+            )
+        else:
+            with pool:
+                outputs = list(
+                    pool.map(
+                        run_shard, [members[i::used] for i in range(used)]
+                    )
+                )
+            results: list = [None] * len(members)
+            for i, (_, shard_results) in enumerate(outputs):
+                results[i::used] = shard_results
+            return [head for head, _ in outputs], results, used
+    head, results = run_shard(members)
+    return [head], list(results), 1
 
 
 class ModelFreeBackend:

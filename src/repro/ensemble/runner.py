@@ -12,26 +12,26 @@ pays one atom-graph engine per *distinct* converged state (pinned in a
 invariant row across the outcomes into holds-always / holds-sometimes
 / never with concrete witnesses.
 
-Execution shards the (seed, plan) matrix round-robin across a process
-pool exactly like :class:`~repro.whatif.campaign.WhatIfCampaign` —
-each shard runs its members on one warm backend in its own process and
-ships plain-data run records back; verification and the fold happen in
-the parent, where the obs collector and the store live. Temporal
-streams (``temporal=``) are evaluated *per member run* — transient
-behaviour differs between seeds even when the final states collide —
-and fold into ``temporal:*`` rows whose witnesses carry the violating
+Execution shards the (seed, plan) matrix round-robin across the same
+process pool as :class:`~repro.whatif.campaign.WhatIfCampaign`
+(:func:`~repro.core.pipeline.run_sharded`) — each shard runs its
+members on one warm backend in its own process and ships plain-data run
+records back; verification and the fold happen in the parent, where
+the obs collector and the store live. Temporal streams (``temporal=``)
+are evaluated *per member run* — transient behaviour differs between
+seeds even when the final states collide — and fold into
+``temporal:*`` rows whose witnesses carry the violating
 ``[t_start, t_end)`` interval.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.chaos.plan import FaultPlan
 from repro.core.context import ScenarioContext
-from repro.core.pipeline import ModelFreeBackend
+from repro.core.pipeline import ModelFreeBackend, run_sharded
 from repro.core.snapshot import Snapshot
 from repro.ensemble.verdicts import (
     HOLDS_ALWAYS,
@@ -55,8 +55,6 @@ from repro.verify.invariants import (
     Waypoint,
 )
 from repro.verify.reachability import ReachabilityRow
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SEEDS = 4
 TEMPORAL_PREFIX = "temporal:"
@@ -471,8 +469,8 @@ class EnsembleRunner:
                 capacity=max(8, len(self.seeds) * len(plan_list))
             )
         )
-        #: Per-member records of the most recent :meth:`run` — the
-        #: deprecated multirun wrapper and tests read these.
+        #: Per-member records of the most recent :meth:`run`, in matrix
+        #: order — the brute-force oracle and examples read these.
         self.last_records: list[RunRecord] = []
 
     @property
@@ -480,27 +478,20 @@ class EnsembleRunner:
         """(seed, plan) members in submission order: seeds major."""
         return [(seed, plan) for seed in self.seeds for plan in self.plans]
 
+    def __getstate__(self) -> dict:
+        # A pool shard needs only the run settings: the store (locks,
+        # live engines) and the previous run's records stay here.
+        return {**self.__dict__, "store": None, "last_records": []}
+
     def run(self, workers: int = 1) -> EnsembleReport:
         """Execute every member and fold the verdicts.
 
         ``workers > 1`` shards the matrix round-robin across a process
-        pool, one warm backend per shard; falls back to the sequential
-        path when the pool cannot start, like the what-if campaign.
+        pool (:func:`~repro.core.pipeline.run_sharded`), one warm backend
+        per shard; the fold runs here, where the store and the obs
+        collector live.
         """
-        members = self.matrix
-        records = None
-        used = 1
-        if workers > 1 and len(members) > 1:
-            try:
-                records = self._run_parallel(members, workers)
-                used = min(workers, len(members))
-            except Exception as exc:  # pool unavailable (sandbox, pickling)
-                logger.warning(
-                    "process-pool ensemble failed (%s); running sequentially",
-                    exc,
-                )
-        if records is None:
-            records = self._run_sequential(members)
+        _, records, used = run_sharded(self._run_members, self.matrix, workers)
         self.last_records = records
         return fold_records(
             records,
@@ -513,9 +504,7 @@ class EnsembleRunner:
             workers=used,
         )
 
-    # -- execution ---------------------------------------------------------------
-
-    def _run_sequential(self, members) -> list[RunRecord]:
+    def _run_members(self, members) -> tuple[None, list[RunRecord]]:
         backend = ModelFreeBackend(
             self.topology,
             cluster=self.cluster,
@@ -523,92 +512,28 @@ class EnsembleRunner:
             quiet_period=self.quiet_period,
             convergence_max_time=self.convergence_max_time,
         )
-        return [
-            _execute_member(backend, self.context, seed, plan, self.temporal)
-            for seed, plan in members
-        ]
-
-    def _run_parallel(self, members, workers: int) -> list[RunRecord]:
-        from concurrent.futures import ProcessPoolExecutor
-
-        shards = [members[i::workers] for i in range(workers)]
-        shards = [shard for shard in shards if shard]
-        payloads = [
-            (
-                self.topology,
-                shard,
+        records = []
+        for seed, plan in members:
+            name = f"ensemble:seed-{seed}"
+            if plan is not None:
+                name += f":{plan.name}"
+            snapshot = backend.run(
                 self.context,
-                self.timers,
-                self.quiet_period,
-                self.convergence_max_time,
-                self.temporal,
+                seed=seed,
+                snapshot_name=name,
+                chaos=plan,
+                temporal=self.temporal,
             )
-            for shard in shards
-        ]
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            shard_records = list(pool.map(_ensemble_shard, payloads))
-        by_member = {}
-        for records in shard_records:
-            for record in records:
-                by_member[(record.seed, record.plan_name)] = record
-        # Original matrix order, not shard order.
-        return [
-            by_member[(seed, _plan_name(plan))] for seed, plan in members
-        ]
+            records.append(
+                RunRecord(
+                    seed=seed,
+                    plan_name=_plan_name(plan),
+                    snapshot=snapshot,
+                    temporal=dict(snapshot.metadata.get("temporal", {})),
+                )
+            )
+        return None, records
 
 
 def _plan_name(plan: Optional[FaultPlan]) -> str:
     return "" if plan is None else plan.name
-
-
-def _execute_member(
-    backend: ModelFreeBackend,
-    context: ScenarioContext,
-    seed: int,
-    plan: Optional[FaultPlan],
-    temporal,
-) -> RunRecord:
-    name = f"ensemble:seed-{seed}"
-    if plan is not None:
-        name += f":{plan.name}"
-    snapshot = backend.run(
-        context,
-        seed=seed,
-        snapshot_name=name,
-        chaos=plan,
-        temporal=temporal,
-    )
-    return RunRecord(
-        seed=seed,
-        plan_name=_plan_name(plan),
-        snapshot=snapshot,
-        temporal=dict(snapshot.metadata.get("temporal", {})),
-    )
-
-
-def _ensemble_shard(payload) -> list:
-    """Pool worker: run one member shard on its own warm backend.
-
-    Module-level (not a closure) so it pickles; the worker process has
-    the default no-op obs collector — shard runs are untraced by
-    design, and the parent re-emits ensemble events when it folds.
-    """
-    (
-        topology,
-        members,
-        context,
-        timers,
-        quiet_period,
-        max_time,
-        temporal,
-    ) = payload
-    backend = ModelFreeBackend(
-        topology,
-        timers=timers,
-        quiet_period=quiet_period,
-        convergence_max_time=max_time,
-    )
-    return [
-        _execute_member(backend, context, seed, plan, temporal)
-        for seed, plan in members
-    ]

@@ -20,6 +20,7 @@ Responsibilities, mirroring the real Kubernetes Network Emulator flow:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 from repro.kube.cluster import KubeCluster
@@ -65,6 +66,14 @@ class ConvergenceTimeout(RuntimeError):
         self.unstable = list(unstable)
         self.elapsed = elapsed
 
+    def __reduce__(self):
+        # The keyword-only fields ride in a partial, so the exception
+        # survives a process-pool round trip with its type intact.
+        return (
+            partial(type(self), unstable=self.unstable, elapsed=self.elapsed),
+            self.args,
+        )
+
 
 class DeployTimeout(RuntimeError):
     """``deploy()`` hit its simulated-time deadline.
@@ -77,6 +86,9 @@ class DeployTimeout(RuntimeError):
     def __init__(self, message: str, *, pending: dict[str, str]) -> None:
         super().__init__(message)
         self.pending = dict(pending)
+
+    def __reduce__(self):
+        return partial(type(self), pending=self.pending), self.args
 
 
 @dataclass

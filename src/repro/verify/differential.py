@@ -215,9 +215,9 @@ def differential_reachability(
     (identical to the union partition, since boundaries are exactly the
     two prefix sets' endpoints). ``atoms`` may instead supply one
     shared pre-refined partition both engines are built over (it must
-    refine the union partition of both dataplanes — multirun passes one
-    shared across all seeds, so each snapshot's engine is built once,
-    not once per pair).
+    refine the union partition of both dataplanes — a caller comparing
+    many snapshots passes one shared across all of them, so each
+    snapshot's engine is built once, not once per pair).
     """
     common = set(reference.node_names()) & set(snapshot.node_names())
     nodes = sorted(common if ingress_nodes is None else

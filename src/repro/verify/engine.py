@@ -32,13 +32,12 @@ to the exact scalar walk. The walk also remains the reference oracle:
 every shipped corpus.
 
 Engines are memoized per dataplane *content* — see :func:`engine_for` —
-so differential queries, multirun sweeps, and repeated pybf questions
+so differential queries, seed sweeps, and repeated pybf questions
 stop rebuilding identical analyses.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
 from bisect import bisect_right
@@ -55,7 +54,6 @@ from repro.obs import bus
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.delta import DataplaneDelta
 
-logger = logging.getLogger(__name__)
 
 #: Ceiling on the dirty-atom fraction a delta apply will patch; above
 #: it a cold build is cheaper than the bookkeeping (a float in (0, 1]).
@@ -159,8 +157,8 @@ class AtomGraphEngine:
     """One next-hop graph per destination atom, shared by every query.
 
     ``atoms`` defaults to the dataplane's own partition; differential
-    and multirun callers pass a shared refinement so one engine per
-    snapshot serves every pairwise comparison (any refinement of the
+    callers may pass a shared refinement so one engine per snapshot
+    serves every pairwise comparison (any refinement of the
     atom partition keeps per-atom LPM decisions constant).
     """
 
@@ -246,27 +244,8 @@ class AtomGraphEngine:
         :func:`repro.net.intervals.overlapping`."""
         return overlapping(self.atoms, self._reps, restriction)
 
-    def precompute(self, workers: Optional[int] = None) -> None:
-        """Materialize every atom's verdict table.
-
-        With ``workers`` > 1 the atom index range is sharded across a
-        process pool — each worker rebuilds the engine from the pickled
-        dataplane and returns its shard's tables. Falls back to the
-        sequential sweep if the pool cannot be used (platform limits,
-        unpicklable state).
-        """
-        if self._complete:
-            return
-        if workers is not None and workers > 1 and len(self.atoms) > 64:
-            try:
-                self._precompute_parallel(workers)
-                return
-            except Exception as exc:  # pragma: no cover - platform dependent
-                logger.warning(
-                    "process-pool precompute failed (%s); "
-                    "falling back to sequential",
-                    exc,
-                )
+    def precompute(self) -> None:
+        """Materialize every atom's verdict table."""
         self._ensure_all()
 
     # -- incremental maintenance --------------------------------------------
@@ -751,44 +730,6 @@ class AtomGraphEngine:
         for v in scc:
             verdicts[v] = verdict
 
-    # -- parallel fan-out ---------------------------------------------------
-
-    def _precompute_parallel(self, workers: int) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        total = len(self.atoms)
-        bounds = [(a.min(), a.max()) for a in self.atoms]
-        shard_size = (total + workers - 1) // workers
-        shards = [
-            range(start, min(start + shard_size, total))
-            for start in range(0, total, shard_size)
-        ]
-        if bus.ACTIVE.enabled:
-            bus.ACTIVE.count("verify.engine_parallel_shards", len(shards))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(
-                _compute_shard,
-                [
-                    (self.dataplane, bounds, shard.start, shard.stop)
-                    for shard in shards
-                ],
-            )
-            for shard_tables in results:
-                self._tables.update(shard_tables)
-        self._complete = True
-
-
-def _compute_shard(payload) -> dict[int, dict[str, AtomVerdict]]:
-    """Worker entry point: rebuild the engine, evaluate one atom shard."""
-    dataplane, bounds, start, stop = payload
-    atoms = [IntervalSet.span(lo, hi) for lo, hi in bounds]
-    engine = AtomGraphEngine(dataplane, atoms)
-    decisions = engine._sweep_decisions()
-    return {
-        index: engine._build_atom(index, decisions)
-        for index in range(start, stop)
-    }
-
 
 # -- the per-snapshot engine cache ------------------------------------------
 
@@ -912,7 +853,7 @@ def engine_for(
     """The memoized engine for ``dataplane`` (and atom partition).
 
     Keyed by FIB *content* hash, not object identity: two snapshots
-    that converged to the same forwarding state — N seeds in a multirun
+    that converged to the same forwarding state — N seeds in an ensemble
     sweep, a reloaded snapshot file — share one engine, so repeated
     differential and pybf queries stop rebuilding identical analyses.
 

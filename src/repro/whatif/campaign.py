@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.context import ScenarioContext
-from repro.core.pipeline import ModelFreeBackend, phase
+from repro.core.pipeline import ModelFreeBackend, phase, run_sharded
 from repro.core.snapshot import Snapshot
 from repro.dataplane.model import Dataplane
 from repro.gnmi.server import dump_afts
@@ -114,30 +115,25 @@ class WhatIfCampaign:
         # pipeline's own deploy/converge/extract phases in a timeline).
         self.phases: dict[str, dict[str, float]] = {}
 
-    def run(self, workers: Optional[int] = None) -> CampaignReport:
+    def __getstate__(self) -> dict:
+        # A pool shard runs on its own backend; the store (locks, live
+        # engines) stays in this process.
+        return {**self.__dict__, "store": None}
+
+    def run(self, workers: int = 1) -> CampaignReport:
         """Execute every scenario; returns the campaign report.
 
         ``workers > 1`` shards scenarios round-robin across independent
-        deployments in a process pool — each worker pays its own cold
-        bring-up, which amortizes only when its shard is large. Falls
-        back to the sequential path if the pool cannot start (same
-        pattern as the verify engine's parallel precompute).
+        deployments in a process pool
+        (:func:`~repro.core.pipeline.run_sharded`) — each worker pays its
+        own cold bring-up, which amortizes only when its shard is large.
         """
-        count = workers or 1
-        if count > 1 and len(self.scenarios) > 1:
-            try:
-                return self._run_parallel(count)
-            except Exception as exc:  # pool unavailable (sandbox, pickling)
-                logger.warning(
-                    "process-pool campaign failed (%s); running sequentially",
-                    exc,
-                )
-        return self._run_sequential(self.scenarios)
+        return self._run(self.seed, workers)
 
     def run_ensemble(
         self,
         seeds: Sequence[int],
-        workers: Optional[int] = None,
+        workers: int = 1,
     ) -> CampaignEnsembleResult:
         """Run the whole campaign once per seed and fold the verdicts.
 
@@ -156,40 +152,46 @@ class WhatIfCampaign:
         seed_list = tuple(seeds)
         reports = []
         rows: dict[str, list[RowObservation]] = {}
-        original_seed = self.seed
-        try:
-            for run_seed in seed_list:
-                self.seed = run_seed
-                report = self.run(workers=workers)
-                reports.append(report)
-                for verdict in report.verdicts:
-                    rows.setdefault(
-                        f"harmless:{verdict.scenario}", []
-                    ).append(
-                        RowObservation(
-                            holds=verdict.severity == 0,
-                            weight=1,
-                            witness=EnsembleWitness(
-                                seed=run_seed,
-                                plan=verdict.scenario,
-                                fingerprint=verdict.fib_fingerprint,
-                                detail=f"severity {verdict.severity}",
-                            ),
-                        )
+        for run_seed in seed_list:
+            report = self._run(run_seed, workers)
+            reports.append(report)
+            for verdict in report.verdicts:
+                rows.setdefault(f"harmless:{verdict.scenario}", []).append(
+                    RowObservation(
+                        holds=verdict.severity == 0,
+                        weight=1,
+                        witness=EnsembleWitness(
+                            seed=run_seed,
+                            plan=verdict.scenario,
+                            fingerprint=verdict.fib_fingerprint,
+                            detail=f"severity {verdict.severity}",
+                        ),
                     )
-        finally:
-            self.seed = original_seed
+                )
         return CampaignEnsembleResult(
             seeds=seed_list,
             reports=reports,
             verdicts=fold_observations(rows),
         )
 
+    def _run(self, seed: int, workers: int) -> CampaignReport:
+        reports, verdicts, used = run_sharded(
+            partial(self._run_sequential, seed), self.scenarios, workers
+        )
+        # Baseline facts from the first shard; every shard re-derives
+        # the same baseline from the same seed and context.
+        return replace(
+            reports[0],
+            verdicts=verdicts,
+            cold_resets=sum(not v.reverted_clean for v in verdicts),
+            workers=used,
+        )
+
     # -- sequential (the real machinery) ------------------------------------------
 
     def _run_sequential(
-        self, scenarios: Sequence[FaultScenario]
-    ) -> CampaignReport:
+        self, seed: int, scenarios: Sequence[FaultScenario]
+    ) -> tuple[CampaignReport, list[ScenarioVerdict]]:
         backend = ModelFreeBackend(
             self.topology,
             cluster=self.cluster,
@@ -199,7 +201,7 @@ class WhatIfCampaign:
             store=self.store,
         )
         self.phases = {}
-        baseline, deployment = self._deploy_baseline(backend)
+        baseline, deployment = self._deploy_baseline(backend, seed)
         diff = BaselineDiff(baseline.dataplane)
         report = CampaignReport(
             topology_name=self.topology.name,
@@ -257,8 +259,7 @@ class WhatIfCampaign:
                 )
                 if collector.enabled:
                     collector.count("whatif.cold_resets")
-                report.cold_resets += 1
-                fresh, deployment = self._deploy_baseline(backend)
+                fresh, deployment = self._deploy_baseline(backend, seed)
                 verdict = replace(
                     verdict,
                     revert_seconds=verdict.revert_seconds
@@ -271,14 +272,14 @@ class WhatIfCampaign:
                     # re-anchor rather than diff against a stale baseline.
                     diff = BaselineDiff(fresh.dataplane)
             report.verdicts.append(verdict)
-        return report
+        return report, report.verdicts
 
     def _deploy_baseline(
-        self, backend: ModelFreeBackend
+        self, backend: ModelFreeBackend, seed: int
     ) -> tuple[Snapshot, KneDeployment]:
         snapshot = backend.run(
             self.context,
-            seed=self.seed,
+            seed=seed,
             snapshot_name=f"{self.topology.name}:whatif-baseline",
         )
         assert backend.last_run is not None
@@ -377,77 +378,6 @@ class WhatIfCampaign:
             fib_fingerprint=dataplane.fib_fingerprint(),
             **temporal_fields,
         )
-
-    # -- process-pool sharding ---------------------------------------------------------
-
-    def _run_parallel(self, workers: int) -> CampaignReport:
-        from concurrent.futures import ProcessPoolExecutor
-
-        shards = [self.scenarios[i::workers] for i in range(workers)]
-        shards = [shard for shard in shards if shard]
-        payloads = [
-            (
-                self.topology,
-                shard,
-                self.context,
-                self.timers,
-                self.quiet_period,
-                self.convergence_max_time,
-                self.seed,
-                self.temporal,
-            )
-            for shard in shards
-        ]
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            shard_reports = list(pool.map(_campaign_shard, payloads))
-        first = shard_reports[0]
-        merged = CampaignReport(
-            topology_name=first.topology_name,
-            baseline_invariants=dict(first.baseline_invariants),
-            baseline_startup_seconds=first.baseline_startup_seconds,
-            baseline_convergence_seconds=first.baseline_convergence_seconds,
-            workers=len(shards),
-        )
-        by_name = {}
-        for shard_report in shard_reports:
-            merged.cold_resets += shard_report.cold_resets
-            for verdict in shard_report.verdicts:
-                by_name[verdict.scenario] = verdict
-        # Original submission order, not shard order.
-        merged.verdicts = [
-            by_name[s.name] for s in self.scenarios if s.name in by_name
-        ]
-        return merged
-
-
-def _campaign_shard(payload) -> CampaignReport:
-    """Pool worker: run one scenario shard on its own deployment.
-
-    Module-level (not a closure) so it pickles; everything in the
-    payload is plain data. The worker process has the default no-op obs
-    collector — shard runs are untraced by design.
-    """
-    (
-        topology,
-        scenarios,
-        context,
-        timers,
-        quiet_period,
-        max_time,
-        seed,
-        temporal,
-    ) = payload
-    campaign = WhatIfCampaign(
-        topology,
-        scenarios,
-        context=context,
-        timers=timers,
-        quiet_period=quiet_period,
-        convergence_max_time=max_time,
-        seed=seed,
-        temporal=temporal,
-    )
-    return campaign._run_sequential(scenarios)
 
 
 def cold_run(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.corpus.fig3 import fig3_scenario
 from repro.topo.parser import format_topology
 
@@ -174,3 +174,77 @@ class TestObs:
         )
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+
+_DEPLOYMENT = {
+    "topology": None, "nodes": 8, "routes": 1000, "quiet_period": None,
+    "fast": False, "json": None, "trace": None, "verbose": 0,
+}
+_FAULT_PLAN = {"plan_seed": 0, "intensity": 3, "crash_at": 900.0}
+
+
+class TestParserSurface:
+    """Every default of the sweep verbs, pinned: sharing argument groups
+    between them must not move one."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["verify", "t.pb"],
+                {
+                    "command": "verify", "topology": "t.pb",
+                    "backend": "emulation", "seed": 0, "quiet_period": 30.0,
+                    "save": None, "trace": None, "delta_stats": False,
+                    "verbose": 0,
+                },
+            ),
+            (
+                ["whatif"],
+                {
+                    **_DEPLOYMENT, "command": "whatif", "corpus": "fig2",
+                    "mode": "links", "k": 2, "flap_hold": 30.0,
+                    "limit": None, "seed": 0, "workers": 1,
+                },
+            ),
+            (
+                ["chaos"],
+                {
+                    **_DEPLOYMENT, **_FAULT_PLAN, "command": "chaos",
+                    "corpus": "production", "plan": "acceptance",
+                    "no_crash": False, "seed": 0, "seeds": None,
+                    "temporal": False,
+                },
+            ),
+            (
+                ["ensemble"],
+                {
+                    **_DEPLOYMENT, **_FAULT_PLAN, "command": "ensemble",
+                    "corpus": "fig3", "seeds": "4", "plans": "none",
+                    "plan_count": 2, "temporal": False, "waypoint": None,
+                    "workers": 1,
+                },
+            ),
+            (
+                ["temporal"],
+                {
+                    **_DEPLOYMENT, "command": "temporal", "corpus": "fig3",
+                    "flap": None, "flap_hold": 15.0, "replay": None,
+                    "save_stream": None, "brute_force": False,
+                    "max_loop_s": 0.0, "max_blackhole_s": 0.0,
+                    "max_churn": None, "waypoint": None, "seed": 0,
+                },
+            ),
+        ],
+        ids=["verify", "whatif", "chaos", "ensemble", "temporal"],
+    )
+    def test_defaults(self, argv, expected):
+        parsed = vars(build_parser().parse_args(argv))
+        parsed.pop("func")
+        assert parsed == expected
+
+    def test_verify_has_no_workers(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["verify", "t.pb", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err

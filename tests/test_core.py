@@ -1,4 +1,9 @@
-"""Core pipeline tests: backends, snapshots, contexts, multirun."""
+"""Core pipeline tests: backends, snapshots, contexts, seed sweeps and
+the shard pool under them."""
+
+import concurrent.futures
+import logging
+import pickle
 
 import pytest
 
@@ -8,14 +13,20 @@ from repro.core.context import (
     single_link_cut_contexts,
 )
 from repro.core.differential import compare_snapshots
-from repro.core.multirun import explore_nondeterminism
-from repro.core.pipeline import ModelFreeBackend, NativeBatfishBackend
+from repro.core.pipeline import (
+    ModelFreeBackend,
+    NativeBatfishBackend,
+    run_sharded,
+)
 from repro.core.snapshot import Snapshot
 from repro.corpus.fig3 import fig3_scenario
+from repro.ensemble import EnsembleRunner
+from repro.kube.kne import ConvergenceTimeout, DeployTimeout
 from repro.net.addr import parse_ipv4
 from repro.protocols.timers import FAST_TIMERS
 from repro.topo.builder import TopologyBuilder
 from repro.verify.reachability import pairwise_matrix
+from repro.whatif import WhatIfCampaign, single_link_failures
 
 
 class TestSnapshot:
@@ -140,18 +151,105 @@ class TestContexts:
 
 class TestMultirun:
     def test_seeds_converge_to_equivalent_dataplanes(self, fig3):
-        backend = ModelFreeBackend(
-            fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
+        runner = EnsembleRunner(
+            fig3.topology,
+            seeds=(0, 1),
+            invariants=(),
+            timers=FAST_TIMERS,
+            quiet_period=5.0,
         )
-        result = explore_nondeterminism(backend, seeds=(0, 1))
-        assert len(result.snapshots) == 2
+        report = runner.run()
+        assert report.runs == 2
+        assert [r.seed for r in runner.last_records] == [0, 1]
         # Fig. 3 has no ordering-dependent tiebreaks: all seeds agree.
-        assert result.deterministic
-        assert "equivalent" in result.summary()
+        assert report.deterministic
 
-    def test_divergence_reported_per_pair(self, fig3):
-        backend = ModelFreeBackend(
-            fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
+
+def _square_shard(shard):
+    """Head: the shard as dealt; results: one (member, square) each."""
+    return tuple(shard), [(member, member * member) for member in shard]
+
+
+class TestRunSharded:
+    @pytest.mark.parametrize(
+        "members, workers, used",
+        [
+            ([0, 1, 2, 3, 4], 2, 2),
+            ([0, 1, 2], 4, 3),
+            ([1, 1], 2, 2),
+            ([0, 1, 2], 1, 1),
+            ([7], 4, 1),
+        ],
+    )
+    def test_results_come_back_in_submission_order(
+        self, members, workers, used
+    ):
+        heads, results, got = run_sharded(_square_shard, members, workers)
+        assert got == used
+        # Round-robin dealing, and every result back at its position —
+        # a duplicate member comes back once per occurrence.
+        assert heads == [tuple(members[i::used]) for i in range(used)]
+        assert results == [(m, m * m) for m in members]
+
+    def test_pool_that_cannot_start_runs_in_process(
+        self, monkeypatch, caplog
+    ):
+        in_process = run_sharded(_square_shard, range(5), workers=1)
+
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with caplog.at_level(logging.WARNING):
+            fallback = run_sharded(_square_shard, range(5), workers=2)
+        assert fallback == in_process
+        assert in_process[2] == 1
+        assert "process pool unavailable" in caplog.text
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            ConvergenceTimeout("still churning", unstable=["r1"], elapsed=2.5),
+            DeployTimeout("stuck", pending={"r2": "Pending"}),
+        ],
+        ids=["convergence", "deploy"],
+    )
+    def test_timeouts_survive_pickle(self, error):
+        restored = pickle.loads(pickle.dumps(error))
+        assert type(restored) is type(error)
+        assert restored.args == error.args
+        assert vars(restored) == vars(error)
+
+    @pytest.mark.parametrize("sweep", ["campaign", "ensemble"])
+    def test_member_timeout_reaches_caller_once(self, fig3, sweep, caplog):
+        settings = dict(
+            timers=FAST_TIMERS, quiet_period=5.0, convergence_max_time=1.0
         )
-        result = explore_nondeterminism(backend, seeds=(2, 3))
-        assert (2, 3) in result.divergences
+        if sweep == "campaign":
+            scenarios = list(single_link_failures(fig3.topology))
+            run = WhatIfCampaign(fig3.topology, scenarios, **settings).run
+        else:
+            run = EnsembleRunner(fig3.topology, seeds=(0, 1), **settings).run
+        with caplog.at_level(logging.WARNING), pytest.raises(
+            ConvergenceTimeout
+        ):
+            run(workers=2)
+        # Raised from the pool, not from an in-process rerun of the
+        # whole matrix after the pool broke.
+        assert "pool" not in caplog.text
+        assert "sequentially" not in caplog.text
+
+    def test_duplicate_seeds_run_twice(self, fig3):
+        runner = EnsembleRunner(
+            fig3.topology,
+            seeds=(1, 1),
+            invariants=(),
+            timers=FAST_TIMERS,
+            quiet_period=5.0,
+        )
+        report = runner.run(workers=2)
+        assert report.runs == 2 and report.workers == 2
+        first, second = runner.last_records
+        assert first.seed == second.seed == 1
+        assert first is not second
+        assert report.outcomes[0].members == [(1, ""), (1, "")]

@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.chaos import sampled_plan
-from repro.core.multirun import explore_nondeterminism
 from repro.core.pipeline import ModelFreeBackend
 from repro.ensemble import (
     HOLDS_ALWAYS,
@@ -318,26 +317,6 @@ class TestTemporalEnsemble:
             temporal_names=names,
         )
         assert report.verdicts == oracle
-
-
-class TestMultirunWrapper:
-    def test_deprecation_warning(self, fig3):
-        backend = ModelFreeBackend(
-            fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
-        )
-        with pytest.warns(DeprecationWarning, match="EnsembleRunner"):
-            explore_nondeterminism(backend, seeds=(0,))
-
-    def test_fingerprint_short_circuit_skips_identical_pairs(self, fig3):
-        backend = ModelFreeBackend(
-            fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
-        )
-        with tracing() as tracer, pytest.warns(DeprecationWarning):
-            result = explore_nondeterminism(backend, seeds=(0, 1, 2))
-        assert result.deterministic
-        # All 3 pairs share one fingerprint: every diff short-circuits.
-        assert tracer.counters["multirun.fingerprint_skips"] == 3
-        assert set(result.divergences) == {(0, 1), (0, 2), (1, 2)}
 
 
 class TestServiceEnsembleOp:

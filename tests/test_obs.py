@@ -287,21 +287,18 @@ class TestSharedContextDefault:
         assert second.metadata["context"] == "base"
         import inspect
 
-        for cls in (ModelFreeBackend, NativeBatfishBackend):
-            default = inspect.signature(cls.run).parameters["context"].default
+        from repro.ensemble import EnsembleRunner
+        from repro.whatif import WhatIfCampaign
+
+        # Same bug class wherever a context is defaulted.
+        for function in (
+            ModelFreeBackend.run,
+            NativeBatfishBackend.run,
+            EnsembleRunner.__init__,
+            WhatIfCampaign.__init__,
+        ):
+            default = inspect.signature(function).parameters["context"].default
             assert default is None
-
-    def test_multirun_default_context_not_shared(self):
-        # Same bug class in explore_nondeterminism: the default context
-        # used to be one shared ScenarioContext instance.
-        import inspect
-
-        from repro.core.multirun import explore_nondeterminism
-
-        default = inspect.signature(
-            explore_nondeterminism
-        ).parameters["context"].default
-        assert default is None
 
 
 class TestModelWarningClock:

@@ -3,8 +3,7 @@
 The load-bearing property: for every (ingress, atom) pair on every
 shipped corpus, the engine's disposition set is identical to the scalar
 :class:`ForwardingWalk` oracle's. Everything else — verdict tables,
-decision-vector sharing, the content-keyed cache, parallel precompute,
-ACL taint fallback — is tested against that same oracle or against the
+decision-vector sharing, the content-keyed cache, ACL taint fallback — is tested against that same oracle or against the
 legacy evaluation paths it replaced.
 """
 
@@ -13,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.context import ScenarioContext, single_link_cut_contexts
-from repro.core.multirun import explore_nondeterminism
 from repro.core.pipeline import ModelFreeBackend
+from repro.ensemble import EnsembleRunner
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.dataplane.forwarding import Disposition, ForwardingWalk
 from repro.dataplane.model import Dataplane
@@ -125,21 +124,6 @@ class TestOracleEquivalence:
             assert pairwise_matrix(dataplane) == pairwise_matrix(
                 dataplane, use_engine=False
             )
-
-
-class TestParallelPrecompute:
-    def test_worker_pool_matches_sequential(self, production_snapshot):
-        dataplane = production_snapshot.dataplane
-        sequential = AtomGraphEngine(dataplane)
-        sequential.precompute()
-        parallel = AtomGraphEngine(dataplane)
-        parallel.precompute(workers=2)
-        assert parallel._complete
-        for index in range(len(sequential.atoms)):
-            for ingress in dataplane.node_names():
-                assert sequential.verdict(ingress, index) == parallel.verdict(
-                    ingress, index
-                )
 
 
 def _acl_line_dataplane(permitted_src: str = "1.1.1.1/32") -> Dataplane:
@@ -303,21 +287,24 @@ class TestEngineCache:
         assert slots_used() == slots + 1  # different content
 
     def test_multirun_builds_n_engines_not_n_squared(self, fig3):
-        backend = ModelFreeBackend(
-            fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
-        )
-        clear_engine_cache()
         seeds = (0, 1, 2)
+        runner = EnsembleRunner(
+            fig3.topology,
+            seeds=seeds,
+            invariants=(),
+            timers=FAST_TIMERS,
+            quiet_period=5.0,
+        )
+        runner.run()
+        clear_engine_cache()
         with tracing() as tracer:
-            result = explore_nondeterminism(backend, seeds=seeds)
-        # 3 pairwise diffs over 3 snapshots: at most one engine build per
-        # distinct converged state (seeds agreeing share even that), never
-        # one per comparison side. Identical-fingerprint pairs skip the
-        # differential entirely, so a deterministic sweep can build zero.
-        assert len(result.snapshots) == len(seeds)
+            for record in runner.last_records:
+                engine_for(record.snapshot.dataplane)
+        # Seeds that converged to the same forwarding state share one
+        # engine: one build per distinct state, never one per run.
         builds = tracer.counters.get("verify.engine_builds", 0)
-        pairs = len(seeds) * (len(seeds) - 1) // 2
-        assert builds <= len(seeds) < 2 * pairs
+        distinct = {record.fingerprint for record in runner.last_records}
+        assert builds == len(distinct) <= len(seeds)
         clear_engine_cache()
 
 
