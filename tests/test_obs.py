@@ -287,18 +287,28 @@ class TestSharedContextDefault:
         assert second.metadata["context"] == "base"
         import inspect
 
+        for cls in (ModelFreeBackend, NativeBatfishBackend):
+            default = inspect.signature(cls.run).parameters["context"].default
+            assert default is None
+
+    def test_multirun_default_context_not_shared(self):
+        # Same bug class in the multi-run entry points: a defaulted context
+        # must be None in the signature and a fresh ScenarioContext per
+        # instance, never one instance shared across runners.
+        import inspect
+
         from repro.ensemble import EnsembleRunner
         from repro.whatif import WhatIfCampaign
 
-        # Same bug class wherever a context is defaulted.
-        for function in (
-            ModelFreeBackend.run,
-            NativeBatfishBackend.run,
-            EnsembleRunner.__init__,
-            WhatIfCampaign.__init__,
-        ):
-            default = inspect.signature(function).parameters["context"].default
+        scenario = fig2_scenario()
+        for cls in (EnsembleRunner, WhatIfCampaign):
+            default = inspect.signature(cls.__init__).parameters["context"].default
             assert default is None
+        first = EnsembleRunner(scenario.topology)
+        second = EnsembleRunner(scenario.topology)
+        assert first.context is not second.context
+        campaigns = [WhatIfCampaign(scenario.topology, []) for _ in range(2)]
+        assert campaigns[0].context is not campaigns[1].context
 
 
 class TestModelWarningClock:
