@@ -20,9 +20,10 @@ import os
 import time
 from pathlib import Path
 
-from repro.chaos import FaultPlan, acceptance_plan, run_chaos, sampled_plan
+from repro.chaos import acceptance_plan, run_chaos, sampled_plan
 from repro.chaos.runner import pairwise_verdicts
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan
 from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.obs import tracing
@@ -51,7 +52,7 @@ def test_chaos_survival_and_degradation(benchmark, report):
     topology, context, timers = _corpus()
     names = sorted(spec.name for spec in topology.nodes)
     plan = acceptance_plan(names, crash_at=CRASH_AT)
-    crashed = next(f.target for f in plan.faults if f.kind == "pod-crash")
+    crashed = next(f.target for f in plan.faults if f.kind == "node-down")
 
     def run_acceptance():
         started = time.perf_counter()

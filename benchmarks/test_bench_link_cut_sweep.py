@@ -7,15 +7,12 @@ links, while exhaustive k-cut sweeps grow combinatorially (the trade-off
 against model-centric approaches like Minesweeper).
 """
 
-from repro.core.context import (
-    ScenarioContext,
-    k_link_cut_count,
-    single_link_cut_contexts,
-)
+from repro.core.context import ScenarioContext, k_link_cut_count
 from repro.core.differential import compare_snapshots
 from repro.core.pipeline import ModelFreeBackend
 from repro.protocols.timers import FAST_TIMERS
 from repro.topo.builder import ring_topology
+from repro.whatif import single_link_failures
 
 from benchmarks.conftest import run_once
 from tests.helpers import isis_config
@@ -49,7 +46,8 @@ def sweep():
     )
     baseline = backend.run(ScenarioContext(), snapshot_name="baseline")
     results = []
-    for context in single_link_cut_contexts(topology):
+    for plan in single_link_failures(topology):
+        context = plan.to_context(ScenarioContext(), topology)
         snapshot = ModelFreeBackend(
             topology, timers=FAST_TIMERS, quiet_period=5.0
         ).run(context, snapshot_name=context.name)

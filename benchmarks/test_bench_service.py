@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from repro.core.context import ScenarioContext
+from repro.core.faults import LinkDown
 from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.obs import tracing
@@ -66,7 +67,7 @@ def _build_snapshots():
         ScenarioContext(
             name="linkdown",
             injectors=injectors,
-            down_links=((link.a.node, link.z.node),),
+            faults=(LinkDown(link.a.node, link.z.node),),
         ),
         snapshot_name="variant",
     )

@@ -20,6 +20,7 @@ Quickstart::
 """
 
 from repro.core import (
+    FaultPlan,
     ModelFreeBackend,
     NativeBatfishBackend,
     ScenarioContext,
@@ -37,7 +38,6 @@ from repro.ensemble import (
 from repro.pybf import Session
 from repro.whatif import (
     CampaignReport,
-    FaultScenario,
     WhatIfCampaign,
     single_link_failures,
     single_node_failures,
@@ -52,7 +52,7 @@ __all__ = [
     "CampaignReport",
     "EnsembleReport",
     "EnsembleRunner",
-    "FaultScenario",
+    "FaultPlan",
     "InvariantVerdict",
     "ModelFreeBackend",
     "NativeBatfishBackend",

@@ -1,7 +1,7 @@
 """repro.chaos — deterministic fault injection for the emulation substrate.
 
 A seeded, declarative fault layer in the spirit of chaos engineering:
-:class:`~repro.chaos.plan.FaultPlan` describes pod crashes, slow boots,
+a :class:`~repro.core.faults.FaultPlan` describes pod crashes, slow boots,
 gNMI flakes, stale/truncated AFT responses, lossy virtual wires, and
 convergence stalls; :class:`~repro.chaos.injector.ChaosInjector` arms a
 plan against one deployment, driving every fault from the simulated-time
@@ -23,18 +23,7 @@ against a running service.
 """
 
 from repro.chaos.injector import CHAOS_FAULT, ChaosInjector
-from repro.chaos.plan import (
-    ConvergenceStall,
-    Fault,
-    FaultPlan,
-    GnmiFlake,
-    LinkLoss,
-    PodCrash,
-    SlowBoot,
-    StaleAft,
-    acceptance_plan,
-    sampled_plan,
-)
+from repro.chaos.plan import acceptance_plan, sampled_plan
 from repro.chaos.runner import ChaosRunReport, run_chaos
 from repro.chaos.service_plan import (
     EvictionStorm,
@@ -50,19 +39,11 @@ __all__ = [
     "CHAOS_FAULT",
     "ChaosInjector",
     "ChaosRunReport",
-    "ConvergenceStall",
     "EvictionStorm",
-    "Fault",
-    "FaultPlan",
-    "GnmiFlake",
     "JournalStall",
-    "LinkLoss",
-    "PodCrash",
     "ServiceChaos",
     "ServiceFault",
     "ServiceFaultPlan",
-    "SlowBoot",
-    "StaleAft",
     "WorkerCrash",
     "acceptance_plan",
     "run_chaos",

@@ -1,4 +1,5 @@
-"""The injector: arms a :class:`FaultPlan` against one deployment.
+"""The injector: arms a :class:`~repro.core.faults.FaultPlan` against one
+deployment.
 
 Everything is driven by the deployment's simulated-time kernel:
 activations are kernel events, loss draws come from the kernel's seeded
@@ -12,13 +13,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.chaos.plan import (
+from repro.core.faults import (
     ConvergenceStall,
     FaultPlan,
     GnmiFlake,
     LinkLoss,
-    PodCrash,
     StaleAft,
+    TOPOLOGY_FAULTS,
+    inject,
 )
 from repro.gnmi.aft import AftSnapshot
 from repro.gnmi.server import GnmiUnavailableError
@@ -81,16 +83,6 @@ class ChaosInjector:
             )
         return self
 
-    @property
-    def schedule_horizon(self) -> float:
-        """Latest scheduled activation time (0.0 for a boot-only plan).
-
-        A fast-converging corpus can quiesce *before* a fault's
-        activation time; the pipeline uses this horizon to keep the
-        clock running until the whole plan has fired.
-        """
-        return max((f.at for f in self.plan.scheduled()), default=0.0)
-
     def on_router_created(self, router) -> None:
         """Deployment hook: every new router gets the gNMI fault hook."""
         router.fault_injector = self
@@ -120,14 +112,15 @@ class ChaosInjector:
 
     def _activate(self, fault) -> None:
         self._record("activate", fault.kind, fault.target)
-        if isinstance(fault, PodCrash):
-            self.deployment.node_down(fault.node)
-            if fault.restart_after is not None:
-                self.deployment.kernel.schedule(
-                    fault.restart_after,
-                    lambda: self._restore(fault),
-                    label=f"chaos:restart:{fault.node}",
-                )
+        if isinstance(fault, TOPOLOGY_FAULTS):
+            inject(
+                self.deployment,
+                fault,
+                f"chaos:restart:{fault.target}",
+                on_restore=lambda f: self._record(
+                    "fire", f.restore_kind, f.target
+                ),
+            )
         elif isinstance(fault, GnmiFlake):
             self._flakes[fault.node] = (
                 self._flakes.get(fault.node, 0) + fault.failures
@@ -164,10 +157,6 @@ class ChaosInjector:
                 until=self.deployment.kernel.now + fault.duration,
                 period=fault.period,
             )
-
-    def _restore(self, fault: PodCrash) -> None:
-        self._record("fire", "pod-restart", fault.node)
-        self.deployment.node_up(fault.node)
 
     def _loss_channels(self, fault: LinkLoss):
         link = self.deployment.topology.find_link(fault.a, fault.z)

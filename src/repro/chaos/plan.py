@@ -1,213 +1,11 @@
-"""Declarative, picklable fault plans.
-
-A :class:`FaultPlan` is to substrate faults what
-:class:`~repro.whatif.scenarios.FaultScenario` is to topology faults: a
-frozen description of *what goes wrong and when*, with no references to
-live objects, so plans can be pickled to workers, stored in corpus
-files, and replayed byte-identically for a fixed seed. All timing is
-simulated time; the :class:`~repro.chaos.injector.ChaosInjector`
-schedules activations on the deployment's kernel.
-
-Fault taxonomy (one dataclass per layer of the substrate):
-
-* :class:`PodCrash` / :class:`SlowBoot` — kube layer;
-* :class:`GnmiFlake` / :class:`StaleAft` — management RPC layer;
-* :class:`LinkLoss` — sim/channel layer (lossy virtual wires);
-* :class:`ConvergenceStall` — control-plane churn that defeats the
-  convergence detector until it subsides.
-"""
+"""Chaos plan builders over the :mod:`repro.core.faults` vocabulary:
+the acceptance plan and seeded sampled plans."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Union
 
-KIND_POD_CRASH = "pod-crash"
-KIND_SLOW_BOOT = "slow-boot"
-KIND_GNMI_FLAKE = "gnmi-flake"
-KIND_STALE_AFT = "stale-aft"
-KIND_LINK_LOSS = "link-loss"
-KIND_CONVERGENCE_STALL = "convergence-stall"
-
-
-@dataclass(frozen=True)
-class PodCrash:
-    """Kill ``node``'s pod at simulated time ``at``.
-
-    With ``restart_after`` set, the pod is restored that many simulated
-    seconds later (links to live peers come back and the network
-    re-converges); with None it stays down, which is how a node ends up
-    in the snapshot's ``degraded_nodes`` manifest.
-    """
-
-    node: str
-    at: float
-    restart_after: Union[float, None] = None
-
-    @property
-    def kind(self) -> str:
-        return KIND_POD_CRASH
-
-    @property
-    def target(self) -> str:
-        return self.node
-
-
-@dataclass(frozen=True)
-class SlowBoot:
-    """Stretch ``node``'s boot time by ``factor`` (takes effect at
-    deploy; the ``at`` of scheduled faults does not apply)."""
-
-    node: str
-    factor: float = 3.0
-
-    @property
-    def kind(self) -> str:
-        return KIND_SLOW_BOOT
-
-    @property
-    def target(self) -> str:
-        return self.node
-
-
-@dataclass(frozen=True)
-class GnmiFlake:
-    """From ``at`` on, the next ``failures`` gNMI Gets against ``node``
-    raise a transient ``GnmiUnavailableError`` — the classic RPC flake
-    the retry/backoff path must absorb."""
-
-    node: str
-    failures: int = 2
-    at: float = 0.0
-
-    @property
-    def kind(self) -> str:
-        return KIND_GNMI_FLAKE
-
-    @property
-    def target(self) -> str:
-        return self.node
-
-
-@dataclass(frozen=True)
-class StaleAft:
-    """From ``at`` on, the next ``serves`` AFT dumps from ``node`` are
-    wrong: a response captured at activation time (stale), or — with
-    ``truncate`` — the live response with its entry list cut short. Both
-    carry a FIB version behind the live counter, which is what the
-    extraction staleness re-check keys off."""
-
-    node: str
-    serves: int = 1
-    at: float = 0.0
-    truncate: bool = False
-
-    @property
-    def kind(self) -> str:
-        return KIND_STALE_AFT
-
-    @property
-    def target(self) -> str:
-        return self.node
-
-
-@dataclass(frozen=True)
-class LinkLoss:
-    """Make the (first) link between ``a`` and ``z`` lossy: each
-    direction drops sends with probability ``drop_rate`` from ``at``
-    until ``at + duration`` (drawn from the kernel's seeded rng, so the
-    loss pattern replays exactly)."""
-
-    a: str
-    z: str
-    drop_rate: float = 0.1
-    at: float = 0.0
-    duration: float = 60.0
-
-    @property
-    def kind(self) -> str:
-        return KIND_LINK_LOSS
-
-    @property
-    def target(self) -> str:
-        return f"{self.a}<->{self.z}"
-
-
-@dataclass(frozen=True)
-class ConvergenceStall:
-    """Inject global FIB-version churn every ``period`` seconds from
-    ``at`` until ``at + duration``: the convergence detector never sees
-    a quiet window while the stall lasts, which is how the watchdog's
-    ``ConvergenceTimeout`` path gets exercised."""
-
-    at: float = 0.0
-    duration: float = 120.0
-    period: float = 1.0
-
-    @property
-    def kind(self) -> str:
-        return KIND_CONVERGENCE_STALL
-
-    @property
-    def target(self) -> str:
-        return "global"
-
-
-Fault = Union[
-    PodCrash, SlowBoot, GnmiFlake, StaleAft, LinkLoss, ConvergenceStall
-]
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A named, seeded schedule of substrate faults.
-
-    ``seed`` identifies the plan for reporting and drives any plan
-    *generation* (see :func:`sampled_plan`); fault *timing* is fully
-    declarative, so two runs of the same plan against the same topology
-    seed replay identically.
-    """
-
-    name: str = "chaos"
-    seed: int = 0
-    faults: tuple = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.faults
-
-    def scheduled(self) -> list:
-        """Faults with a scheduled activation, in firing order.
-
-        SlowBoot is excluded — it modulates deploy-time boot draws
-        rather than firing as a kernel event.
-        """
-        timed = [f for f in self.faults if not isinstance(f, SlowBoot)]
-        return sorted(timed, key=lambda f: (f.at, f.kind, f.target))
-
-    def slow_boots(self) -> dict[str, float]:
-        factors: dict[str, float] = {}
-        for fault in self.faults:
-            if isinstance(fault, SlowBoot):
-                factors[fault.node] = max(
-                    factors.get(fault.node, 1.0), fault.factor
-                )
-        return factors
-
-    def describe(self) -> dict:
-        """JSON-friendly description (CLI/bench reporting)."""
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "faults": [
-                {"kind": f.kind, "target": f.target}
-                for f in self.faults
-            ],
-        }
-
-    def __len__(self) -> int:
-        return len(self.faults)
+from repro.core.faults import FaultPlan, GnmiFlake, NodeDown, StaleAft
 
 
 def acceptance_plan(
@@ -225,10 +23,10 @@ def acceptance_plan(
         return FaultPlan(name="acceptance", faults=())
     crashed = ordered[0]
     flaked = ordered[1:3] or ordered[:1]
-    faults: list[Fault] = [
+    faults: list = [
         GnmiFlake(node=node, failures=flake_failures) for node in flaked
     ]
-    faults.append(PodCrash(node=crashed, at=crash_at))
+    faults.append(NodeDown(crashed, at=crash_at))
     return FaultPlan(name="acceptance", faults=tuple(faults))
 
 
@@ -246,7 +44,7 @@ def sampled_plan(
     plan source."""
     rng = random.Random(seed)
     ordered = sorted(nodes)
-    faults: list[Fault] = []
+    faults: list = []
     for _ in range(max(0, intensity)):
         node = rng.choice(ordered)
         if rng.random() < 0.5:
@@ -258,5 +56,5 @@ def sampled_plan(
                 StaleAft(node=node, serves=1, truncate=rng.random() < 0.5)
             )
     if crash and ordered:
-        faults.append(PodCrash(node=rng.choice(ordered), at=crash_at))
+        faults.append(NodeDown(rng.choice(ordered), at=crash_at))
     return FaultPlan(name=f"sampled-{seed}", seed=seed, faults=tuple(faults))

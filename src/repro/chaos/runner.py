@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.chaos.plan import FaultPlan
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan
 from repro.core.pipeline import ModelFreeBackend
 from repro.core.snapshot import Snapshot
 from repro.dataplane.model import Dataplane

@@ -1,6 +1,6 @@
 """Service-level chaos: seeded faults against the verification service.
 
-:class:`~repro.chaos.plan.FaultPlan` breaks the emulation substrate;
+:class:`~repro.core.faults.FaultPlan` breaks the emulation substrate;
 :class:`ServiceFaultPlan` breaks the *service* that answers questions
 about it — worker processes SIGKILLed mid-job, journal writes stalled,
 the snapshot store hit by eviction storms. Faults are declarative and

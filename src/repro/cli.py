@@ -545,20 +545,16 @@ def _temporal_invariants(args: argparse.Namespace):
 def _temporal_scenario(args: argparse.Namespace, topology):
     from repro.whatif import link_flap_scenarios
 
-    scenarios = list(
-        link_flap_scenarios(topology, hold_seconds=args.flap_hold)
-    )
-    if not scenarios:
+    plans = list(link_flap_scenarios(topology, hold_seconds=args.flap_hold))
+    if not plans:
         raise SystemExit(f"topology {topology.name} has no links to flap")
-    if args.flap:
-        for scenario in scenarios:
-            if args.flap in scenario.name:
-                return scenario
+    matching = [p for p in plans if args.flap in p.name] if args.flap else plans
+    if not matching:
         raise SystemExit(
             f"no link matching {args.flap!r}; "
-            f"have {', '.join(s.name for s in scenarios)}"
+            f"have {', '.join(p.name for p in plans)}"
         )
-    return scenarios[0]
+    return matching[0]
 
 
 def _run_temporal(args: argparse.Namespace) -> int:

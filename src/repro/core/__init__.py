@@ -15,13 +15,17 @@ which is how the paper surfaces model defects.
 """
 
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan, LinkDown, NodeDown
 from repro.core.snapshot import Snapshot
 from repro.core.pipeline import ModelFreeBackend, NativeBatfishBackend
 from repro.core.differential import compare_snapshots
 
 __all__ = [
+    "FaultPlan",
+    "LinkDown",
     "ModelFreeBackend",
     "NativeBatfishBackend",
+    "NodeDown",
     "ScenarioContext",
     "Snapshot",
     "compare_snapshots",

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 from repro.batfish_model.ibdp import ModelRun, run_model
 from repro.batfish_model.issues import DEFAULT_ASSUMPTIONS, ModelAssumptions
 from repro.core.context import ScenarioContext
+from repro.core.faults import inject
 from repro.core.snapshot import PartialSnapshot, Snapshot
 from repro.corpus.routes import RouteInjector
 from repro.gnmi.server import extract_afts
@@ -205,7 +206,7 @@ class ModelFreeBackend:
         report query-engine time alongside deploy/converge/extract;
         the counts land in ``metadata["verification"]``.
 
-        ``chaos`` accepts a :class:`~repro.chaos.plan.FaultPlan`: the
+        ``chaos`` accepts a :class:`~repro.core.faults.FaultPlan`: the
         substrate runs under that fault schedule, extraction degrades
         gracefully (a node unextractable past the retry budget lands in
         the returned :class:`PartialSnapshot`'s ``degraded_nodes``
@@ -252,22 +253,19 @@ class ModelFreeBackend:
             ]
             for injector in injectors:
                 injector.start()
-            for a_node, z_node in context.down_links:
-                deployment.link_down(a_node, z_node)
+            for fault in context.faults:
+                inject(deployment, fault)
         with phase("converge", kernel, phases):
             deployment.wait_converged(
                 quiet_period=self.quiet_period,
                 max_time=self.convergence_max_time,
             )
-            if (
-                chaos_injector is not None
-                and kernel.now < chaos_injector.schedule_horizon
-            ):
+            if chaos_injector is not None and kernel.now < chaos.horizon:
                 # The network quiesced before the plan finished: a
                 # chaos run is not converged until every scheduled
-                # fault has fired and the network has re-quiesced
-                # around the damage.
-                kernel.run(until=chaos_injector.schedule_horizon)
+                # fault has fired (and every restore come back) and the
+                # network has re-quiesced around the damage.
+                kernel.run(until=chaos.horizon)
                 deployment.wait_converged(
                     quiet_period=self.quiet_period,
                     max_time=self.convergence_max_time,
@@ -385,7 +383,7 @@ class NativeBatfishBackend:
             model_run = run_model(configs, self.assumptions)
         self.last_model_run = model_run
         snapshots = model_run.snapshots
-        if context.down_links:
+        if context.faults:
             snapshots = _apply_link_cuts(self.topology, snapshots, context)
         snapshot = Snapshot(
             name=snapshot_name or f"{self.topology.name}:{context.name}:model",
@@ -434,12 +432,12 @@ def _apply_link_cuts(topology, snapshots, context: ScenarioContext):
     import copy
 
     out = copy.deepcopy(snapshots)
-    for a_node, z_node in context.down_links:
-        link = topology.find_link(a_node, z_node)
+    for fault in context.faults:
+        link = topology.find_link(fault.a, fault.z)
         if link is None:
             logger.warning(
                 "context %r cuts a nonexistent link %s-%s; ignoring",
-                context.name, a_node, z_node,
+                context.name, fault.a, fault.z,
             )
             collector = bus.ACTIVE
             if collector.enabled:
@@ -448,8 +446,8 @@ def _apply_link_cuts(topology, snapshots, context: ScenarioContext):
                     MODEL_EPOCH,
                     reason="unknown-link",
                     backend="model",
-                    a_node=a_node,
-                    z_node=z_node,
+                    a_node=fault.a,
+                    z_node=fault.z,
                     context=context.name,
                 )
             continue

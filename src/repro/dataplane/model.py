@@ -316,12 +316,6 @@ class Dataplane:
         )
 
     @classmethod
-    def from_dicts(cls, raw: dict[str, dict]) -> "Dataplane":
-        return cls(
-            {name: AftSnapshot.from_dict(data) for name, data in raw.items()}
-        )
-
-    @classmethod
     def evolve(
         cls, base: "Dataplane", snapshots: dict[str, AftSnapshot]
     ) -> "Dataplane":

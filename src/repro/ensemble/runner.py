@@ -4,7 +4,7 @@ The paper's §6 mitigation (run the emulation many times in parallel and
 compare dataplanes) is promoted here from a boolean "deterministic?"
 flag to ACORN-style verification of the *set* of possible converged
 states: a seed sweep — optionally crossed with a set of
-:class:`~repro.chaos.plan.FaultPlan`\\ s so timing and fault
+:class:`~repro.core.faults.FaultPlan`\\ s so timing and fault
 nondeterminism are both sampled — whose outcomes dedup by
 ``fib_fingerprint``. Most seeds converge identically, so the ensemble
 pays one atom-graph engine per *distinct* converged state (pinned in a
@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.chaos.plan import FaultPlan
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan
 from repro.core.pipeline import ModelFreeBackend, run_sharded
 from repro.core.snapshot import Snapshot
 from repro.ensemble.verdicts import (

@@ -186,8 +186,3 @@ class Prefix:
 
     def __str__(self) -> str:
         return f"{format_ipv4(self.network)}/{self.length}"
-
-
-def interface_prefix(address: int, length: int) -> Prefix:
-    """The connected subnet implied by an interface address."""
-    return Prefix.containing(address, length)

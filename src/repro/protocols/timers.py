@@ -8,7 +8,7 @@ real-router defaults and is used for the convergence-time experiments
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -34,26 +34,6 @@ class TimerProfile:
     rsvp_cleanup_multiplier: float = 3.5
     # generic message-processing cost per hop
     processing_delay: float = 0.002
-
-    def scaled(self, factor: float) -> "TimerProfile":
-        """A uniformly scaled copy (useful for what-if timing studies)."""
-        return replace(
-            self,
-            **{
-                name: getattr(self, name) * factor
-                for name in (
-                    "isis_hello",
-                    "isis_hold",
-                    "isis_spf_delay",
-                    "isis_lsp_flood_delay",
-                    "bgp_connect_retry",
-                    "bgp_keepalive",
-                    "bgp_hold",
-                    "bgp_mrai",
-                    "rsvp_refresh",
-                )
-            },
-        )
 
 
 PRODUCTION_TIMERS = TimerProfile()

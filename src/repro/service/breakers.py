@@ -178,11 +178,6 @@ class BreakerBoard:
             breaker = self._breakers.get(key)
             return breaker.state if breaker else BreakerState.CLOSED
 
-    def failures_of(self, key: Any) -> int:
-        with self._lock:
-            breaker = self._breakers.get(key)
-            return breaker.failures if breaker else 0
-
     def detail_for(self, key: Any) -> dict:
         """The structured BreakerOpenError payload for ``key``."""
         with self._lock:

@@ -319,10 +319,6 @@ class VerificationService:
             self.journal.close()
         return counts
 
-    def drain(self, timeout: float = 5.0) -> dict:
-        """Graceful-drain alias for ``stop`` (the SIGTERM path)."""
-        return self.stop(timeout, drain=True)
-
     def health(self) -> dict:
         """Liveness/readiness (the frontend's ``{"op": "health"}``).
 
@@ -633,20 +629,25 @@ class VerificationService:
 
         The campaign's baseline snapshot registers with the service's
         store, so interactive questions asked afterwards reuse its
-        engine. Deterministic per (topology, scenarios, seed), hence
-        coalescable and cacheable like any question.
+        engine. Deterministic per (topology, plans, timers, seed), hence
+        coalescable and cacheable like any question: the job is keyed
+        on the frozen plans themselves, so two plans that share a name
+        but not their faults never share a report.
         """
         from repro.protocols.timers import PRODUCTION_TIMERS
         from repro.whatif.campaign import WhatIfCampaign
 
         scenario_list = list(scenarios)
+        if timers is None:
+            timers = PRODUCTION_TIMERS
         signature = (
             "whatif",
             topology.name,
-            tuple(s.name for s in scenario_list),
+            tuple(scenario_list),
             context.name if context is not None else "",
             seed,
             quiet_period,
+            timers,
         )
 
         def run():
@@ -654,7 +655,7 @@ class VerificationService:
                 topology,
                 scenario_list,
                 context=context,
-                timers=timers if timers is not None else PRODUCTION_TIMERS,
+                timers=timers,
                 quiet_period=quiet_period,
                 seed=seed,
                 store=self.store,

@@ -267,10 +267,6 @@ class SnapshotStore:
         with self._lock:
             return fingerprint in self._entries
 
-    def fingerprints(self) -> list[int]:
-        with self._lock:
-            return list(self._entries)
-
     def stats(self) -> dict:
         with self._lock:
             return {

@@ -300,14 +300,6 @@ class RouterOS:
     def owns_address(self, address: int) -> bool:
         return any(p.is_up for p in self._ports_by_address.get(address, ()))
 
-    def connected_port_for(self, address: int) -> Optional[Port]:
-        """The up port whose subnet contains ``address``."""
-        for port in self.ports.values():
-            prefix = port.connected_prefix()
-            if port.is_up and prefix is not None and prefix.contains(address):
-                return port
-        return None
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.state.value})"
 

@@ -13,7 +13,6 @@ from repro.whatif.campaign import (
 )
 from repro.whatif.report import CampaignReport, ScenarioVerdict
 from repro.whatif.scenarios import (
-    FaultScenario,
     k_link_failures,
     link_flap_scenarios,
     single_link_failures,
@@ -23,7 +22,6 @@ from repro.whatif.scenarios import (
 __all__ = [
     "CampaignEnsembleResult",
     "CampaignReport",
-    "FaultScenario",
     "ScenarioVerdict",
     "WhatIfCampaign",
     "cold_run",

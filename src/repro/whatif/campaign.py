@@ -25,6 +25,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan
 from repro.core.pipeline import ModelFreeBackend, phase, run_sharded
 from repro.core.snapshot import Snapshot
 from repro.dataplane.model import Dataplane
@@ -36,7 +37,6 @@ from repro.protocols.timers import TimerProfile, PRODUCTION_TIMERS
 from repro.topo.model import Topology
 from repro.verify.differential import BaselineDiff
 from repro.whatif.report import CampaignReport, ScenarioVerdict
-from repro.whatif.scenarios import FaultScenario
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +81,7 @@ class WhatIfCampaign:
     def __init__(
         self,
         topology: Topology,
-        scenarios: Sequence[FaultScenario],
+        scenarios: Sequence[FaultPlan],
         *,
         context: Optional[ScenarioContext] = None,
         cluster: Optional[KubeCluster] = None,
@@ -94,6 +94,8 @@ class WhatIfCampaign:
     ) -> None:
         self.topology = topology
         self.scenarios = list(scenarios)
+        for plan in self.scenarios:
+            plan.topology_faults()  # substrate faults: refuse before deploy
         self.context = context if context is not None else ScenarioContext()
         self.cluster = cluster
         self.timers = timers
@@ -190,7 +192,7 @@ class WhatIfCampaign:
     # -- sequential (the real machinery) ------------------------------------------
 
     def _run_sequential(
-        self, seed: int, scenarios: Sequence[FaultScenario]
+        self, seed: int, scenarios: Sequence[FaultPlan]
     ) -> tuple[CampaignReport, list[ScenarioVerdict]]:
         backend = ModelFreeBackend(
             self.topology,
@@ -287,7 +289,7 @@ class WhatIfCampaign:
 
     def _run_scenario(
         self,
-        scenario: FaultScenario,
+        scenario: FaultPlan,
         deployment: KneDeployment,
         diff: BaselineDiff,
     ) -> ScenarioVerdict:
@@ -382,7 +384,7 @@ class WhatIfCampaign:
 
 def cold_run(
     topology: Topology,
-    scenario: FaultScenario,
+    scenario: FaultPlan,
     *,
     context: Optional[ScenarioContext] = None,
     timers: TimerProfile = PRODUCTION_TIMERS,
@@ -405,7 +407,7 @@ def cold_run(
         convergence_max_time=convergence_max_time,
     )
     cold_context = scenario.to_context(
-        context if context is not None else ScenarioContext()
+        context if context is not None else ScenarioContext(), topology
     )
     return backend.run(
         cold_context,

@@ -1,109 +1,22 @@
-"""Fault scenarios: declarative perturbations over a live deployment.
+"""What-if generators: the standard failure sweeps as fault plans.
 
-A scenario is a frozen, picklable description of *what to break* — pairs
-of node names for link faults, node names for pod kills — never a
-closure over live objects. That keeps generators cheap (a campaign over
-a 1000-router topology materializes thousands of scenarios before any
-emulation work happens) and lets the campaign runner ship scenario
-shards to worker processes untouched.
-
-The generators mirror the sweeps the literature treats as table stakes:
-every single link, every single node, all k-link combinations
+Every single link, every single node, all k-link combinations
 (Plankton's exploding scenario space), and link flaps (the transient
-case a converged-state-only model cannot express at all).
+case a converged-state-only model cannot express at all), each as
+:class:`~repro.core.faults.FaultPlan`\\ s of topology faults.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, TYPE_CHECKING
+from typing import Iterator
 
-from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan, LinkDown, NodeDown
 from repro.topo.model import Topology
 
-if TYPE_CHECKING:
-    from repro.kube.kne import KneDeployment
-
-KIND_LINK_CUT = "link-cut"
-KIND_NODE_DOWN = "node-down"
-KIND_K_LINK_CUT = "k-link-cut"
-KIND_LINK_FLAP = "link-flap"
-
-
-@dataclass(frozen=True)
-class FaultScenario:
-    """One what-if question, as an apply/revert perturbation pair.
-
-    ``links`` always carries the affected node pairs — for node faults
-    too, computed at generation time — so :meth:`to_context` can express
-    any link-expressible scenario as a cold-run :class:`ScenarioContext`
-    (the campaign's oracle path).
-    """
-
-    name: str
-    kind: str
-    links: tuple[tuple[str, str], ...] = ()
-    nodes: tuple[str, ...] = ()
-    flap_hold: float = 0.0
-
-    def apply(self, deployment: "KneDeployment") -> None:
-        """Perturb a live, converged deployment."""
-        if self.kind == KIND_NODE_DOWN:
-            for node in self.nodes:
-                deployment.node_down(node)
-            return
-        for a_node, z_node in self.links:
-            deployment.link_down(a_node, z_node)
-        if self.kind == KIND_LINK_FLAP:
-            # The restore is pre-scheduled on the simulated clock, so a
-            # single wait_converged over the whole flap observes both
-            # transitions; min_quiet_period guarantees the quiet window
-            # cannot elapse while the link_up event is still pending.
-            for a_node, z_node in self.links:
-                deployment.kernel.schedule(
-                    self.flap_hold,
-                    lambda a=a_node, z=z_node: deployment.link_up(a, z),
-                    label=f"whatif-flap-restore:{a_node}-{z_node}",
-                )
-
-    def revert(self, deployment: "KneDeployment") -> None:
-        """Undo :meth:`apply` (no-op for self-reverting scenarios)."""
-        if self.self_reverting:
-            return
-        if self.kind == KIND_NODE_DOWN:
-            for node in self.nodes:
-                deployment.node_up(node)
-            return
-        for a_node, z_node in self.links:
-            deployment.link_up(a_node, z_node)
-
-    @property
-    def self_reverting(self) -> bool:
-        return self.kind == KIND_LINK_FLAP
-
-    @property
-    def min_quiet_period(self) -> float:
-        """Quiet window floor so pre-scheduled restores aren't missed."""
-        return self.flap_hold + 1.0 if self.kind == KIND_LINK_FLAP else 0.0
-
-    def to_context(
-        self, base: ScenarioContext = ScenarioContext()
-    ) -> ScenarioContext:
-        """The equivalent cold-run context (the oracle formulation).
-
-        A flap's steady state is the baseline itself, so it maps to
-        ``base`` unchanged; everything else maps to its link cuts. Note
-        a cold node-down run still boots the dead node — it converges to
-        the same network-wide state, but its own (isolated) FIB is
-        present in the cold extraction and absent from the warm one.
-        """
-        if self.kind == KIND_LINK_FLAP:
-            return base
-        context = base
-        for a_node, z_node in self.links:
-            context = context.with_link_down(a_node, z_node)
-        return context
+# The perf ledger's workloads still annotate with this name; it goes
+# with the next change to the benchmark.
+FaultScenario = FaultPlan
 
 
 def _unique_node_pairs(topology: Topology) -> list[tuple[str, str]]:
@@ -125,53 +38,37 @@ def _unique_node_pairs(topology: Topology) -> list[tuple[str, str]]:
     return pairs
 
 
-def single_link_failures(topology: Topology) -> Iterator[FaultScenario]:
-    """One scenario per link: the paper's §6 exhaustive single-cut sweep."""
+def single_link_failures(topology: Topology) -> Iterator[FaultPlan]:
+    """One plan per link: the paper's §6 exhaustive single-cut sweep."""
     for a_node, z_node in _unique_node_pairs(topology):
-        yield FaultScenario(
-            name=f"link:{a_node}-{z_node}",
-            kind=KIND_LINK_CUT,
-            links=((a_node, z_node),),
-        )
+        yield FaultPlan(f"link:{a_node}-{z_node}", (LinkDown(a_node, z_node),))
 
 
-def single_node_failures(topology: Topology) -> Iterator[FaultScenario]:
-    """One scenario per node: kill the pod, drop every adjacency at once."""
+def single_node_failures(topology: Topology) -> Iterator[FaultPlan]:
+    """One plan per node: kill the pod, drop every adjacency at once."""
     for spec in topology.nodes:
-        links = tuple(
-            (link.a.node, link.z.node) for link in topology.links_of(spec.name)
-        )
-        yield FaultScenario(
-            name=f"node:{spec.name}",
-            kind=KIND_NODE_DOWN,
-            links=links,
-            nodes=(spec.name,),
-        )
+        yield FaultPlan(f"node:{spec.name}", (NodeDown(spec.name),))
 
 
-def k_link_failures(topology: Topology, k: int = 2) -> Iterator[FaultScenario]:
+def k_link_failures(topology: Topology, k: int = 2) -> Iterator[FaultPlan]:
     """All k-combinations of link failures (combinatorial — use with care)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     for combo in combinations(_unique_node_pairs(topology), k):
         label = "+".join(f"{a}-{z}" for a, z in combo)
-        yield FaultScenario(
-            name=f"klink:{label}",
-            kind=KIND_K_LINK_CUT,
-            links=tuple(combo),
+        yield FaultPlan(
+            f"klink:{label}", tuple(LinkDown(a, z) for a, z in combo)
         )
 
 
 def link_flap_scenarios(
     topology: Topology, hold_seconds: float = 30.0
-) -> Iterator[FaultScenario]:
+) -> Iterator[FaultPlan]:
     """Per-link down→up flaps: does the network *return* to baseline?"""
     if hold_seconds <= 0:
         raise ValueError(f"hold_seconds must be > 0, got {hold_seconds}")
     for a_node, z_node in _unique_node_pairs(topology):
-        yield FaultScenario(
-            name=f"flap:{a_node}-{z_node}",
-            kind=KIND_LINK_FLAP,
-            links=((a_node, z_node),),
-            flap_hold=hold_seconds,
+        yield FaultPlan(
+            f"flap:{a_node}-{z_node}",
+            (LinkDown(a_node, z_node, restore_after=hold_seconds),),
         )

@@ -224,7 +224,7 @@ def test_wire_invariants_through_churn(name, seed, fig2, export_oracle):
         flap.apply(deployment)
         settle(
             deployment, case,
-            run_for=flap.flap_hold + 8 * case.timers.bgp_connect_retry,
+            run_for=flap.horizon + 8 * case.timers.bgp_connect_retry,
         )
         assert assert_wire_invariants(deployment, tracer) == sessions
         assert tracer.counters["bgp.update.received"] > 0

@@ -13,16 +13,14 @@ import pickle
 
 import pytest
 
-from repro.chaos import (
-    ChaosInjector,
+from repro.chaos import ChaosInjector, acceptance_plan, sampled_plan
+from repro.core.faults import (
     ConvergenceStall,
     FaultPlan,
     GnmiFlake,
-    PodCrash,
+    NodeDown,
     SlowBoot,
     StaleAft,
-    acceptance_plan,
-    sampled_plan,
 )
 from repro.core.pipeline import ModelFreeBackend
 from repro.core.snapshot import PartialSnapshot, Snapshot
@@ -48,7 +46,7 @@ class TestFaultPlan:
             name="mix",
             seed=11,
             faults=(
-                PodCrash(node="r3", at=1000.0),
+                NodeDown("r3", at=1000.0),
                 GnmiFlake(node="r1", failures=2),
                 SlowBoot(node="r2", factor=2.5),
                 StaleAft(node="r4", serves=1),
@@ -86,7 +84,7 @@ class TestFaultPlan:
     def test_acceptance_plan_shape(self):
         plan = acceptance_plan(["r1", "r2", "r3"], crash_at=500.0)
         kinds = sorted(f.kind for f in plan.faults)
-        assert kinds.count("pod-crash") == 1
+        assert kinds.count("node-down") == 1
         assert "gnmi-flake" in kinds
 
 
@@ -187,7 +185,7 @@ class TestPodCrashDegradation:
     @pytest.fixture(scope="class")
     def snapshot(self):
         plan = FaultPlan(
-            name="crash-r3", faults=(PodCrash(node="r3", at=1000.0),)
+            name="crash-r3", faults=(NodeDown("r3", at=1000.0),)
         )
         return fig2_backend().run(
             seed=0, snapshot_name="chaos-crash", chaos=plan
@@ -294,7 +292,7 @@ class TestDeterminism:
             seed=5,
             faults=(
                 GnmiFlake(node="r1", failures=2),
-                PodCrash(node="r4", at=1000.0),
+                NodeDown("r4", at=1000.0),
                 SlowBoot(node="r2", factor=2.0),
             ),
         )
@@ -386,7 +384,7 @@ class TestTimelineChaosSection:
             collector = bus.ACTIVE
             collector.emit(
                 "chaos.fault", 12.0,
-                action="activate", kind="pod-crash", target="r3",
+                action="activate", kind="node-down", target="r3",
             )
             collector.emit(
                 "pipeline.degraded", 900.0, node="r3", reason="pod-failed"
@@ -396,6 +394,6 @@ class TestTimelineChaosSection:
         assert len(timeline.degraded) == 1
         text = timeline.render()
         assert "Chaos faults" in text
-        assert "pod-crash" in text
+        assert "node-down" in text
         assert "Degraded nodes" in text
         assert "pod-failed" in text

@@ -1,8 +1,11 @@
 """CLI tests (via the main() entry point, capturing stdout)."""
 
+import argparse
+import json
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _temporal_scenario, build_parser, main
 from repro.corpus.fig3 import fig3_scenario
 from repro.topo.parser import format_topology
 
@@ -248,3 +251,38 @@ class TestParserSurface:
             build_parser().parse_args(["verify", "t.pb", "--workers", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+class TestChaos:
+    def test_chaos_fig2_json(self, tmp_path, capsys):
+        path = tmp_path / "chaos.json"
+        code = main(["chaos", "--corpus", "fig2", "--json", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "{'kind': 'node-down', 'target': 'r1'}" in out
+        payload = json.loads(path.read_text())
+        assert sorted(payload) == [
+            "baseline_verification", "chaos_verification", "degraded_nodes",
+            "degraded_verdict_fraction", "faults_fired", "plan", "retries",
+            "seed", "stability", "survived", "total_retries",
+        ]
+        assert payload["survived"] is True
+        assert payload["faults_fired"] == 7
+        assert list(payload["degraded_nodes"]) == ["r1"]
+
+
+class TestTemporalScenario:
+    @staticmethod
+    def args(flap):
+        return argparse.Namespace(flap=flap, flap_hold=15.0)
+
+    def test_flap_match_picks_that_link(self):
+        topology = fig3_scenario().topology
+        plan = _temporal_scenario(self.args("r2-r3"), topology)
+        assert plan.name == "flap:r2-r3"
+        assert plan.horizon == 15.0
+
+    def test_no_match_exits_with_the_names(self):
+        topology = fig3_scenario().topology
+        with pytest.raises(SystemExit, match="flap:r1-r2, flap:r2-r3"):
+            _temporal_scenario(self.args("r9"), topology)

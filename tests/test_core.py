@@ -7,11 +7,8 @@ import pickle
 
 import pytest
 
-from repro.core.context import (
-    ScenarioContext,
-    k_link_cut_count,
-    single_link_cut_contexts,
-)
+from repro.core.context import ScenarioContext, k_link_cut_count
+from repro.core.faults import LinkDown, NodeDown
 from repro.core.differential import compare_snapshots
 from repro.core.pipeline import (
     ModelFreeBackend,
@@ -136,12 +133,31 @@ class TestCrossBackendDifferential:
 class TestContexts:
     def test_with_link_down_names_context(self):
         context = ScenarioContext().with_link_down("a", "b")
-        assert context.down_links == (("a", "b"),)
+        assert context.faults == (LinkDown("a", "b"),)
         assert "cut:a-b" in context.name
 
     def test_single_link_cut_enumeration(self, fig3):
-        contexts = list(single_link_cut_contexts(fig3.topology))
+        contexts = [
+            plan.to_context(ScenarioContext(), fig3.topology)
+            for plan in single_link_failures(fig3.topology)
+        ]
         assert len(contexts) == len(fig3.topology.links)
+        assert [c.name for c in contexts] == [
+            f"base+cut:{link.a.node}-{link.z.node}"
+            for link in fig3.topology.links
+        ]
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            LinkDown("a", "b", at=5.0),
+            LinkDown("a", "b", restore_after=5.0),
+            NodeDown("a"),
+        ],
+    )
+    def test_context_takes_only_permanent_link_cuts(self, fault):
+        with pytest.raises(ValueError):
+            ScenarioContext(faults=(fault,))
 
     def test_k_cut_growth(self):
         assert k_link_cut_count(20, 1) == 20

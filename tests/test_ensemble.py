@@ -212,7 +212,7 @@ class TestEnsembleRunner:
 class TestChaosCrossedEnsemble:
     @pytest.fixture(scope="class")
     def crossed(self, fig3):
-        from repro.chaos import FaultPlan, LinkLoss, PodCrash
+        from repro.core.faults import FaultPlan, LinkLoss, NodeDown
 
         # Two genuinely different failure modes: a dead r2-r3 link
         # (routes to r3 withdrawn — real False rows, no degradation)
@@ -229,7 +229,7 @@ class TestChaosCrossedEnsemble:
                 ),
             ),
             FaultPlan(
-                name="crash-r3", faults=(PodCrash(node="r3", at=1000.0),)
+                name="crash-r3", faults=(NodeDown("r3", at=1000.0),)
             ),
         ]
         runner = EnsembleRunner(

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from repro.chaos import ChaosInjector, FaultPlan, GnmiFlake, StaleAft
+from repro.chaos import ChaosInjector
+from repro.core.faults import FaultPlan, GnmiFlake, StaleAft
 from repro.core.snapshot import Snapshot
 from repro.dataplane.model import Dataplane
 from repro.device.acl import Acl, AclRule

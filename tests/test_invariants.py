@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import runner as chaos_runner
-from repro.chaos.plan import FaultPlan, PodCrash
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan, NodeDown
 from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.dataplane.delta import DataplaneDelta
@@ -853,7 +853,7 @@ def fig3_stream(fig3):
 
 @pytest.fixture(scope="module")
 def fig2_crash(fig2):
-    plan = FaultPlan(name="crash-r3", faults=(PodCrash(node="r3", at=1000.0),))
+    plan = FaultPlan(name="crash-r3", faults=(NodeDown("r3", at=1000.0),))
     backend = ModelFreeBackend(fig2.topology, timers=FAST_TIMERS, quiet_period=5.0)
     return backend.run(seed=0, snapshot_name="crash-r3", chaos=plan)
 

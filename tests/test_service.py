@@ -12,6 +12,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -620,6 +621,37 @@ class TestCampaignJobs:
         assert len(report.verdicts) == 1
         # The campaign baseline became resident in the service store.
         assert svc.store.stats()["resident"] >= 1
+
+    def test_same_names_other_faults_are_another_job(self, fig2):
+        """Two flaps share a name but not their hold, and one campaign
+        shares plans but not timers: neither is served the other's
+        cached report."""
+        from repro.protocols.timers import FAST_TIMERS
+        from repro.whatif import link_flap_scenarios
+
+        def flap(hold):
+            return list(link_flap_scenarios(fig2.topology, hold_seconds=hold))[:1]
+
+        with VerificationService(workers=1) as svc:
+            def report(plans, timers=FAST_TIMERS):
+                job = svc.submit_campaign(
+                    fig2.topology, plans, timers=timers, quiet_period=5.0
+                )
+                return job, job.result(timeout=60).value
+
+            short_job, short = report(flap(5.0))
+            long_job, long = report(flap(200.0))
+            again_job, again = report(flap(5.0))
+            slow_job, slow = report(flap(5.0), timers=replace(
+                FAST_TIMERS, processing_delay=0.01
+            ))
+        assert flap(5.0)[0].name == flap(200.0)[0].name
+        assert not long_job.cached and long is not short
+        [short_verdict], [long_verdict] = short.verdicts, long.verdicts
+        assert long_verdict.reconverge_seconds > 200.0
+        assert short_verdict.reconverge_seconds < 200.0
+        assert again_job.cached and again is short
+        assert not slow_job.cached and slow is not short
 
 
 class TestFrontend:

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos.plan import FaultPlan, PodCrash
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan, NodeDown
 from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.dataplane.delta import DataplaneDelta
@@ -145,7 +145,7 @@ class TestTemporalOracleEquivalence:
     def test_chaos_crash_matches_oracle(self, fig3):
         plan = FaultPlan(
             name="crash-restart",
-            faults=(PodCrash(node="r2", at=60.0, restart_after=30.0),),
+            faults=(NodeDown("r2", at=60.0, restore_after=30.0),),
         )
         backend = ModelFreeBackend(
             fig3.topology, timers=FAST_TIMERS, quiet_period=5.0
@@ -497,7 +497,7 @@ class TestWiring:
 
         plan = FaultPlan(
             name="crash-restart",
-            faults=(PodCrash(node="r2", at=60.0, restart_after=30.0),),
+            faults=(NodeDown("r2", at=60.0, restore_after=30.0),),
         )
         report = run_chaos(
             fig3.topology,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.context import ScenarioContext, single_link_cut_contexts
+from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend
 from repro.ensemble import EnsembleRunner
 from repro.corpus.production import production_scenario, scaled_timers
@@ -86,7 +86,10 @@ class TestOracleEquivalence:
         assert_engine_matches_walker(production_snapshot.dataplane)
 
     def test_link_cut_context(self, fig2):
-        context = next(single_link_cut_contexts(fig2.topology))
+        from repro.whatif import single_link_failures
+
+        plan = next(single_link_failures(fig2.topology))
+        context = plan.to_context(ScenarioContext(), fig2.topology)
         backend = ModelFreeBackend(
             fig2.topology, timers=FAST_TIMERS, quiet_period=5.0
         )

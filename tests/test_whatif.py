@@ -19,12 +19,12 @@ import json
 import pytest
 
 from repro.core.context import ScenarioContext
+from repro.core.faults import FaultPlan, LinkDown, NodeDown
 from repro.protocols.timers import FAST_TIMERS
 from repro.topo.builder import ring_topology
 from repro.topo.model import NodeSpec, Topology
 from repro.whatif import (
     CampaignReport,
-    FaultScenario,
     ScenarioVerdict,
     WhatIfCampaign,
     cold_run,
@@ -73,7 +73,7 @@ class TestGenerators:
         scenarios = list(single_link_failures(topology))
         assert len(scenarios) == len(topology.links)
         assert all(s.kind == "link-cut" for s in scenarios)
-        assert all(len(s.links) == 1 for s in scenarios)
+        assert all(len(s.faults) == 1 for s in scenarios)
         assert len({s.name for s in scenarios}) == len(scenarios)
 
     def test_parallel_links_deduplicated(self):
@@ -92,9 +92,16 @@ class TestGenerators:
         scenarios = list(single_node_failures(topology))
         assert len(scenarios) == RING_SIZE
         assert all(s.kind == "node-down" for s in scenarios)
-        # Every ring node has exactly two attached links.
-        assert all(len(s.links) == 2 for s in scenarios)
-        assert all(len(s.nodes) == 1 for s in scenarios)
+        assert all(
+            s.faults == (NodeDown(spec.name),)
+            for s, spec in zip(scenarios, topology.nodes)
+        )
+        # Cold, a node kill is the cut of each attached link: two on a
+        # ring.
+        assert all(
+            len(s.to_context(ScenarioContext(), topology).faults) == 2
+            for s in scenarios
+        )
 
     def test_k_link_failures_combinatorial(self):
         from math import comb
@@ -102,7 +109,12 @@ class TestGenerators:
         topology = build_ring()
         scenarios = list(k_link_failures(topology, k=2))
         assert len(scenarios) == comb(RING_SIZE, 2)
-        assert all(len(s.links) == 2 for s in scenarios)
+        assert all(len(s.faults) == 2 for s in scenarios)
+        assert all(s.kind == "k-link-cut" for s in scenarios)
+        # One cut is one cut, whichever generator made it.
+        assert {s.kind for s in k_link_failures(topology, k=1)} == {
+            "link-cut"
+        }
         with pytest.raises(ValueError):
             list(k_link_failures(topology, k=0))
 
@@ -112,30 +124,23 @@ class TestGenerators:
         assert len(scenarios) == RING_SIZE
         for s in scenarios:
             assert s.self_reverting
-            assert s.flap_hold == 7.0
+            assert s.kind == "link-flap"
+            assert [f.restore_after for f in s.faults] == [7.0]
             assert s.min_quiet_period == 8.0
         with pytest.raises(ValueError):
             list(link_flap_scenarios(topology, hold_seconds=0.0))
 
     def test_to_context_expresses_link_scenarios(self):
-        scenario = FaultScenario(
-            name="link:a-b", kind="link-cut", links=(("a", "b"),)
-        )
-        context = scenario.to_context(ScenarioContext())
-        assert context.down_links == (("a", "b"),)
-        flap = FaultScenario(
-            name="flap:a-b",
-            kind="link-flap",
-            links=(("a", "b"),),
-            flap_hold=5.0,
-        )
+        topology = build_ring()
+        scenario = FaultPlan("link:a-b", (LinkDown("a", "b"),))
+        context = scenario.to_context(ScenarioContext(), topology)
+        assert context.faults == (LinkDown("a", "b"),)
+        flap = FaultPlan("flap:a-b", (LinkDown("a", "b", restore_after=5.0),))
         # A flap's steady state is the baseline itself.
-        assert flap.to_context(ScenarioContext()) == ScenarioContext()
+        assert flap.to_context(ScenarioContext(), topology) == ScenarioContext()
 
     def test_non_flap_min_quiet_is_zero(self):
-        scenario = FaultScenario(
-            name="link:a-b", kind="link-cut", links=(("a", "b"),)
-        )
+        scenario = FaultPlan("link:a-b", (LinkDown("a", "b"),))
         assert scenario.min_quiet_period == 0.0
         assert not scenario.self_reverting
 
@@ -281,7 +286,7 @@ class TestColdFallback:
 
         # Sabotage revert: links stay down, the baseline check must
         # catch it and rebuild a fresh deployment per scenario.
-        monkeypatch.setattr(FaultScenario, "revert", lambda self, dep: None)
+        monkeypatch.setattr(FaultPlan, "revert", lambda self, dep: None)
         dirty = WhatIfCampaign(
             topology, scenarios, timers=FAST_TIMERS, quiet_period=5.0
         ).run()
