@@ -21,12 +21,13 @@ import time
 from pathlib import Path
 
 from repro.chaos import acceptance_plan, run_chaos, sampled_plan
-from repro.chaos.runner import pairwise_verdicts
 from repro.core.context import ScenarioContext
 from repro.core.faults import FaultPlan
 from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
+from repro.ensemble.runner import outcome_rows
 from repro.obs import tracing
+from repro.verify.invariants import Pairwise, Probe
 
 from benchmarks.conftest import run_once
 
@@ -106,8 +107,8 @@ def test_chaos_survival_and_degradation(benchmark, report):
         empty.dataplane.fib_fingerprint()
         == baseline.dataplane.fib_fingerprint()
     )
-    base_verdicts = pairwise_verdicts(baseline.dataplane)
-    empty_verdicts = pairwise_verdicts(empty.dataplane)
+    base_verdicts = outcome_rows(Pairwise(), Probe(baseline.dataplane))
+    empty_verdicts = outcome_rows(Pairwise(), Probe(empty.dataplane))
     assert json.dumps(base_verdicts, sort_keys=True) == json.dumps(
         empty_verdicts, sort_keys=True
     )

@@ -1,49 +1,31 @@
 """Run a corpus scenario under a fault plan and score the damage.
 
-The runner executes the model-free pipeline twice over the same
-topology/context/seed — once fault-free, once under the plan — and
-reports *verdict stability*: the fraction of pairwise reachability
-verdicts common to both runs that agree. Answers that exist only under
-degradation (pairs involving a degraded node) are excluded from the
-stability denominator and reported separately as the degraded-verdict
-fraction, because ``UNKNOWN_DEGRADED`` is an absence of proof, not a
-disagreement.
+A chaos run is a fold over the cold run matrix
+(:func:`~repro.ensemble.runner.run_members`): per seed, a fault-free
+baseline member and a faulted member over the same topology, context
+and seed. It reports *verdict stability*: the fraction of pairwise
+reachability verdicts common to a baseline and its faulted run that
+agree. The verdicts are the ensemble lift's ``reach:`` rows, which
+leave out pairs answering UNKNOWN_DEGRADED — an absence of proof, not
+a disagreement — so those stay out of the stability denominator and
+are reported separately as the degraded-verdict fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.context import ScenarioContext
 from repro.core.faults import FaultPlan
-from repro.core.pipeline import ModelFreeBackend
+from repro.core.pipeline import ModelFreeBackend, run_sharded
 from repro.core.snapshot import Snapshot
 from repro.dataplane.model import Dataplane
+from repro.ensemble.runner import outcome_rows, run_members
 from repro.protocols.timers import PRODUCTION_TIMERS, TimerProfile
 from repro.topo.model import Topology
-from repro.verify.invariants import Pairwise, Probe
-
-
-def pairwise_verdicts(dataplane: Dataplane) -> dict[str, bool]:
-    """Every device pair's :class:`Pairwise` verdict, keyed ``src->dst``."""
-    probe = Probe(dataplane)
-    failing = dict(Pairwise().findings(probe))
-    return {
-        f"{src}->{dst}": (src, dst) not in failing
-        for src, dst in sorted(probe.matrix())
-    }
-
-
-def verdict_stability(
-    baseline: dict[str, bool], faulted: dict[str, bool]
-) -> float:
-    """Fraction of verdicts present in both runs that agree."""
-    common = set(baseline) & set(faulted)
-    if not common:
-        return 1.0
-    agreeing = sum(1 for key in common if baseline[key] == faulted[key])
-    return agreeing / len(common)
+from repro.verify.invariants import Pairwise, Probe, verification_summary
 
 
 def degraded_fraction(dataplane: Dataplane) -> float:
@@ -128,103 +110,73 @@ def run_chaos(
     dict carries the violation intervals.
 
     ``seeds`` scores the plan over an *ensemble* of faulted runs: one
-    baseline/faulted pair per seed on the same warm backend, stability
-    pooled across every pair (agreements over common verdicts, summed
-    across seeds). Fault timing is seed-jittered, so one seed's
-    stability is a sample, not a verdict. Degraded pairs stay out of
-    every denominator, and identical faulted fingerprints share one
-    verdict computation. The report's scalar fields (snapshots, logs,
-    verification) come from the first seed; the ``ensemble`` dict
-    carries the per-seed breakdown.
+    baseline/faulted pair per seed, stability pooled across every pair
+    (agreements over common verdicts, summed across seeds). Fault
+    timing is seed-jittered, so one seed's stability is a sample, not a
+    verdict. The report's scalar fields (snapshots, logs, verification)
+    come from the first seed; the ``ensemble`` dict carries the
+    per-seed breakdown. ``seeds=None`` runs ``seed`` alone; an empty
+    sequence is a ValueError.
     """
     seed_list = tuple(seeds) if seeds is not None else (seed,)
     if not seed_list:
-        seed_list = (seed,)
-    sweep = len(seed_list) > 1
+        raise ValueError("no seeds to run a chaos plan over")
     backend = ModelFreeBackend(
         topology,
         timers=timers,
         quiet_period=quiet_period,
         convergence_max_time=convergence_max_time,
     )
-    # fingerprint -> pairwise verdicts, shared across the sweep: seeds
-    # (and baseline/faulted pairs) that converge identically pay one
-    # matrix, mirroring the ensemble runner's outcome dedup.
-    verdict_cache: dict[int, dict[str, bool]] = {}
+    members = [
+        member
+        for run_seed in seed_list
+        for member in ((run_seed, None, None), (run_seed, plan, temporal))
+    ]
+    _, records, _ = run_sharded(partial(run_members, backend, context), members)
+    pairs = list(zip(records[::2], records[1::2]))
 
-    def verdicts_of(snapshot: Snapshot) -> dict[str, bool]:
-        fingerprint = snapshot.dataplane.fib_fingerprint()
-        cached = verdict_cache.get(fingerprint)
-        if cached is None:
-            cached = pairwise_verdicts(snapshot.dataplane)
-            verdict_cache[fingerprint] = cached
-        return cached
-
-    pairs = []
-    for run_seed in seed_list:
-        suffix = f":seed-{run_seed}" if sweep else ""
-        baseline = backend.run(
-            context,
-            seed=run_seed,
-            snapshot_name=f"chaos:baseline{suffix}",
-            verify=True,
-        )
-        faulted = backend.run(
-            context,
-            seed=run_seed,
-            snapshot_name=f"chaos:{plan.name}{suffix}",
-            verify=True,
-            chaos=plan,
-            temporal=temporal,
-        )
-        pairs.append((run_seed, baseline, faulted))
-
-    agreeing = 0
-    common_total = 0
+    agreeing = common_total = 0
+    degraded_total = 0.0
     per_seed_stability = {}
-    degraded_fractions = []
-    for run_seed, baseline, faulted in pairs:
-        base_verdicts = verdicts_of(baseline)
-        fault_verdicts = verdicts_of(faulted)
-        common = set(base_verdicts) & set(fault_verdicts)
-        agreeing += sum(
-            1 for key in common if base_verdicts[key] == fault_verdicts[key]
+    for baseline, faulted in pairs:
+        base_rows, fault_rows = (
+            outcome_rows(Pairwise(), Probe(record.snapshot.dataplane))
+            for record in (baseline, faulted)
         )
+        common = base_rows.keys() & fault_rows.keys()
+        agree = sum(base_rows[key][0] == fault_rows[key][0] for key in common)
+        agreeing += agree
         common_total += len(common)
-        per_seed_stability[run_seed] = verdict_stability(
-            base_verdicts, fault_verdicts
+        per_seed_stability[baseline.seed] = (
+            agree / len(common) if common else 1.0
         )
-        degraded_fractions.append(degraded_fraction(faulted.dataplane))
+        degraded_total += degraded_fraction(faulted.snapshot.dataplane)
 
-    stability = agreeing / common_total if common_total else 1.0
     ensemble_info = {}
-    if sweep:
-        distinct_faulted = len(
-            {f.dataplane.fib_fingerprint() for _, _, f in pairs}
-        )
+    if len(seed_list) > 1:
         ensemble_info = {
             "seeds": list(seed_list),
             "per_seed_stability": {
                 str(s): round(v, 6) for s, v in per_seed_stability.items()
             },
-            "distinct_faulted_outcomes": distinct_faulted,
+            "distinct_faulted_outcomes": len(
+                {faulted.fingerprint for _, faulted in pairs}
+            ),
         }
 
-    first_seed, baseline, faulted = pairs[0]
+    baseline, faulted = (record.snapshot for record in pairs[0])
     chaos_meta = faulted.metadata.get("chaos", {})
     return ChaosRunReport(
         plan=plan.describe(),
-        seed=first_seed,
+        seed=seed_list[0],
         survived=True,
         degraded_nodes=dict(faulted.degraded_nodes),
         retries=dict(faulted.metadata.get("extraction_retries", {})),
         fault_log=list(chaos_meta.get("log", [])),
-        stability=stability,
-        degraded_verdict_fraction=(
-            sum(degraded_fractions) / len(degraded_fractions)
-        ),
-        baseline_verification=dict(baseline.metadata.get("verification", {})),
-        chaos_verification=dict(faulted.metadata.get("verification", {})),
+        stability=agreeing / common_total if common_total else 1.0,
+        degraded_verdict_fraction=degraded_total / len(pairs),
+        baseline_verification=verification_summary(baseline.dataplane),
+        chaos_verification=verification_summary(faulted.dataplane),
         baseline_snapshot=baseline,
         chaos_snapshot=faulted,
         temporal=dict(faulted.metadata.get("temporal", {})),

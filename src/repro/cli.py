@@ -418,15 +418,22 @@ def _parse_seeds(spec):
         return None
     try:
         if "," in spec:
-            return tuple(int(part) for part in spec.split(",") if part.strip())
-        return tuple(range(int(spec)))
+            seeds = tuple(int(part) for part in spec.split(",") if part.strip())
+        else:
+            seeds = tuple(range(int(spec)))
     except ValueError:
-        raise SystemExit(f"--seeds wants a count or a comma list, not {spec!r}")
+        seeds = ()
+    if not seeds:
+        raise SystemExit(
+            f"--seeds wants a positive count or a comma list, not {spec!r}"
+        )
+    return seeds
 
 
 def _run_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_chaos
 
+    seeds = _parse_seeds(args.seeds)
     topology, context, timers, quiet = _deployment(args)
     [plan] = _fault_plans(args, topology, args.plan, crash=not args.no_crash)
     print(f"chaos run over {topology.name}: plan {plan.name!r}, "
@@ -438,7 +445,7 @@ def _run_chaos(args: argparse.Namespace) -> int:
         plan,
         context=context,
         seed=args.seed,
-        seeds=_parse_seeds(args.seeds),
+        seeds=seeds,
         timers=timers,
         quiet_period=quiet,
         temporal=True if args.temporal else None,

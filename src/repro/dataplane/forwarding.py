@@ -268,7 +268,13 @@ class ForwardingWalk:
                 )
                 continue
             # No known device answers on that subnet.
-            if hop.gateway is None or hop.gateway == dst:
+            if hop.gateway in self.dataplane.degraded_owned:
+                # The gateway's owner was never extracted: where the
+                # packet goes next is unknown, not out of the network.
+                traces.append(
+                    Trace(Disposition.UNKNOWN_DEGRADED, here, space=out_space)
+                )
+            elif hop.gateway is None or hop.gateway == dst:
                 # Directly attached delivery to a host we don't model.
                 subnet_known = (
                     (device_name, hop.interface) in self.dataplane.adjacency

@@ -12,10 +12,11 @@ pays one atom-graph engine per *distinct* converged state (pinned in a
 invariant row across the outcomes into holds-always / holds-sometimes
 / never with concrete witnesses.
 
-Execution shards the (seed, plan) matrix round-robin across the same
-process pool as :class:`~repro.whatif.campaign.WhatIfCampaign`
+Execution is :func:`run_members`, the cold run matrix that
+:func:`~repro.chaos.run_chaos` runs too, on the shard pool
+:class:`~repro.whatif.campaign.WhatIfCampaign` also uses
 (:func:`~repro.core.pipeline.run_sharded`) — each shard runs its
-members on one warm backend in its own process and ships plain-data run
+members on one backend in its own process and ships plain-data run
 records back; verification and the fold happen in the parent, where
 the obs collector and the store live. Temporal streams (``temporal=``)
 are evaluated *per member run* — transient behaviour differs between
@@ -27,6 +28,7 @@ seeds even when the final states collide — and fold into
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from repro.core.context import ScenarioContext
@@ -359,8 +361,6 @@ def fold_records(
         workers=workers,
     )
     if emit:
-        collector.count("ensemble.runs", len(records))
-        collector.count("ensemble.outcomes", len(outcomes))
         for verdict in report.unstable:
             collector.count("ensemble.unstable")
             witness = verdict.witnesses[0] if verdict.witnesses else None
@@ -447,6 +447,8 @@ class EnsembleRunner:
         self.topology = topology
         self.context = context if context is not None else ScenarioContext()
         self.seeds = tuple(seeds)
+        if not self.seeds:
+            raise ValueError("no seeds to run an ensemble over")
         plan_list = list(plans) if plans else [None]
         self.plans = plan_list
         self.invariants = (
@@ -478,11 +480,6 @@ class EnsembleRunner:
         """(seed, plan) members in submission order: seeds major."""
         return [(seed, plan) for seed in self.seeds for plan in self.plans]
 
-    def __getstate__(self) -> dict:
-        # A pool shard needs only the run settings: the store (locks,
-        # live engines) and the previous run's records stay here.
-        return {**self.__dict__, "store": None, "last_records": []}
-
     def run(self, workers: int = 1) -> EnsembleReport:
         """Execute every member and fold the verdicts.
 
@@ -491,7 +488,17 @@ class EnsembleRunner:
         per shard; the fold runs here, where the store and the obs
         collector live.
         """
-        _, records, used = run_sharded(self._run_members, self.matrix, workers)
+        backend = ModelFreeBackend(
+            self.topology,
+            cluster=self.cluster,
+            timers=self.timers,
+            quiet_period=self.quiet_period,
+            convergence_max_time=self.convergence_max_time,
+        )
+        members = [(seed, plan, self.temporal) for seed, plan in self.matrix]
+        _, records, used = run_sharded(
+            partial(run_members, backend, self.context), members, workers
+        )
         self.last_records = records
         return fold_records(
             records,
@@ -504,35 +511,41 @@ class EnsembleRunner:
             workers=used,
         )
 
-    def _run_members(self, members) -> tuple[None, list[RunRecord]]:
-        backend = ModelFreeBackend(
-            self.topology,
-            cluster=self.cluster,
-            timers=self.timers,
-            quiet_period=self.quiet_period,
-            convergence_max_time=self.convergence_max_time,
+
+def run_members(
+    backend: ModelFreeBackend,
+    context: Optional[ScenarioContext],
+    members: Sequence[tuple],
+) -> tuple[None, list[RunRecord]]:
+    """The cold run matrix: one fresh run per ``(seed, plan, temporal)``.
+
+    ``plan`` is a :class:`~repro.core.faults.FaultPlan` or None for a
+    fault-free member, ``temporal`` the run's ``temporal=`` spec. Shaped
+    for :func:`~repro.core.pipeline.run_sharded` with ``backend`` and
+    ``context`` bound: a pool shard runs its members on its own pickled
+    copy of the backend, one record per member back in order.
+    """
+    records = []
+    for seed, plan, temporal in members:
+        name = f"ensemble:seed-{seed}"
+        if plan is not None:
+            name += f":{plan.name}"
+        snapshot = backend.run(
+            context,
+            seed=seed,
+            snapshot_name=name,
+            chaos=plan,
+            temporal=temporal,
         )
-        records = []
-        for seed, plan in members:
-            name = f"ensemble:seed-{seed}"
-            if plan is not None:
-                name += f":{plan.name}"
-            snapshot = backend.run(
-                self.context,
+        records.append(
+            RunRecord(
                 seed=seed,
-                snapshot_name=name,
-                chaos=plan,
-                temporal=self.temporal,
+                plan_name=_plan_name(plan),
+                snapshot=snapshot,
+                temporal=dict(snapshot.metadata.get("temporal", {})),
             )
-            records.append(
-                RunRecord(
-                    seed=seed,
-                    plan_name=_plan_name(plan),
-                    snapshot=snapshot,
-                    temporal=dict(snapshot.metadata.get("temporal", {})),
-                )
-            )
-        return None, records
+        )
+    return None, records
 
 
 def _plan_name(plan: Optional[FaultPlan]) -> str:

@@ -593,6 +593,8 @@ class AtomGraphEngine:
                     self._hop_peers[hop_key] = peer
                 if peer is not None:
                     successors.add(peer)
+                elif gateway in self.dataplane.degraded_owned:
+                    terminals.add(Disposition.UNKNOWN_DEGRADED)
                 elif gateway == rep:
                     rep_dependent = True
                     terminals.add(self._direct_disposition(name, hop))

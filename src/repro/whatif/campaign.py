@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Optional, Sequence
 
 from repro.core.context import ScenarioContext
@@ -29,6 +28,12 @@ from repro.core.faults import FaultPlan
 from repro.core.pipeline import ModelFreeBackend, phase, run_sharded
 from repro.core.snapshot import Snapshot
 from repro.dataplane.model import Dataplane
+from repro.ensemble.verdicts import (
+    HOLDS_ALWAYS,
+    EnsembleWitness,
+    RowObservation,
+    fold_observations,
+)
 from repro.gnmi.server import dump_afts
 from repro.kube.cluster import KubeCluster
 from repro.kube.kne import KneDeployment
@@ -63,8 +68,6 @@ class CampaignEnsembleResult:
 
     @property
     def unstable(self) -> list:
-        from repro.ensemble.verdicts import HOLDS_ALWAYS
-
         return [v for v in self.verdicts if v.verdict != HOLDS_ALWAYS]
 
     def to_dict(self) -> dict:
@@ -130,7 +133,8 @@ class WhatIfCampaign:
         (:func:`~repro.core.pipeline.run_sharded`) — each worker pays its
         own cold bring-up, which amortizes only when its shard is large.
         """
-        return self._run(self.seed, workers)
+        [report] = self._run_matrix((self.seed,), workers)
+        return report
 
     def run_ensemble(
         self,
@@ -143,20 +147,13 @@ class WhatIfCampaign:
         run: each scenario contributes a ``harmless`` observation per
         seed (holds iff its severity is 0), folded by the ensemble
         verdict algebra with the seed, scenario, and post-perturbation
-        fingerprint as witness.
+        fingerprint as witness. The whole (seed x scenario) matrix is
+        dealt to one shard pool.
         """
-        from repro.ensemble.verdicts import (
-            EnsembleWitness,
-            RowObservation,
-            fold_observations,
-        )
-
         seed_list = tuple(seeds)
-        reports = []
+        reports = self._run_matrix(seed_list, workers)
         rows: dict[str, list[RowObservation]] = {}
-        for run_seed in seed_list:
-            report = self._run(run_seed, workers)
-            reports.append(report)
+        for run_seed, report in zip(seed_list, reports):
             for verdict in report.verdicts:
                 rows.setdefault(f"harmless:{verdict.scenario}", []).append(
                     RowObservation(
@@ -176,24 +173,42 @@ class WhatIfCampaign:
             verdicts=fold_observations(rows),
         )
 
-    def _run(self, seed: int, workers: int) -> CampaignReport:
-        reports, verdicts, used = run_sharded(
-            partial(self._run_sequential, seed), self.scenarios, workers
-        )
-        # Baseline facts from the first shard; every shard re-derives
-        # the same baseline from the same seed and context.
-        return replace(
-            reports[0],
-            verdicts=verdicts,
-            cold_resets=sum(not v.reverted_clean for v in verdicts),
-            workers=used,
-        )
+    def _run_matrix(
+        self, seeds: tuple, workers: int
+    ) -> list[CampaignReport]:
+        """One report per seed from the (seed x scenario) matrix, seeds
+        major, run in one :func:`~repro.core.pipeline.run_sharded` call."""
+        # A campaign without scenarios still reports each seed's baseline.
+        scenarios = self.scenarios or [None]
+        n = len(scenarios)
+        members = [(seed, plan) for seed in seeds for plan in scenarios]
+        heads, verdicts, used = run_sharded(self._run_shard, members, workers)
+        reports = []
+        for i, seed in enumerate(seeds):
+            # Baseline facts from the first shard that ran the seed;
+            # every shard re-derives the same baseline from the same
+            # seed and context.
+            baseline = next(head[seed] for head in heads if seed in head)
+            mine = [v for v in verdicts[i * n:(i + 1) * n] if v is not None]
+            reports.append(
+                replace(
+                    baseline,
+                    verdicts=mine,
+                    cold_resets=sum(not v.reverted_clean for v in mine),
+                    workers=used,
+                )
+            )
+        return reports
 
-    # -- sequential (the real machinery) ------------------------------------------
+    # -- one shard (the real machinery) -------------------------------------------
 
-    def _run_sequential(
-        self, seed: int, scenarios: Sequence[FaultPlan]
-    ) -> tuple[CampaignReport, list[ScenarioVerdict]]:
+    def _run_shard(
+        self, members: Sequence[tuple]
+    ) -> tuple[dict[int, CampaignReport], list[Optional[ScenarioVerdict]]]:
+        """Run ``(seed, scenario)`` members on one warm backend,
+        deploying a baseline whenever the seed changes. Returns each
+        seed's baseline report and one verdict per member (None for the
+        scenario-less member of an empty campaign)."""
         backend = ModelFreeBackend(
             self.topology,
             cluster=self.cluster,
@@ -203,15 +218,23 @@ class WhatIfCampaign:
             store=self.store,
         )
         self.phases = {}
-        baseline, deployment = self._deploy_baseline(backend, seed)
-        diff = BaselineDiff(baseline.dataplane)
-        report = CampaignReport(
-            topology_name=self.topology.name,
-            baseline_invariants=dict(diff.baseline_invariants),
-            baseline_startup_seconds=baseline.startup_seconds,
-            baseline_convergence_seconds=baseline.convergence_seconds,
-        )
-        for scenario in scenarios:
+        baselines: dict[int, CampaignReport] = {}
+        verdicts: list[Optional[ScenarioVerdict]] = []
+        seed = None
+        for run_seed, scenario in members:
+            if run_seed != seed:
+                seed = run_seed
+                baseline, deployment = self._deploy_baseline(backend, seed)
+                diff = BaselineDiff(baseline.dataplane)
+                baselines[seed] = CampaignReport(
+                    topology_name=self.topology.name,
+                    baseline_invariants=dict(diff.baseline_invariants),
+                    baseline_startup_seconds=baseline.startup_seconds,
+                    baseline_convergence_seconds=baseline.convergence_seconds,
+                )
+            if scenario is None:
+                verdicts.append(None)
+                continue
             verdict = self._run_scenario(scenario, deployment, diff)
             collector = bus.ACTIVE
             if collector.enabled:
@@ -273,8 +296,8 @@ class WhatIfCampaign:
                     # fires if the topology itself is seed-sensitive;
                     # re-anchor rather than diff against a stale baseline.
                     diff = BaselineDiff(fresh.dataplane)
-            report.verdicts.append(verdict)
-        return report, report.verdicts
+            verdicts.append(verdict)
+        return baselines, verdicts
 
     def _deploy_baseline(
         self, backend: ModelFreeBackend, seed: int

@@ -10,10 +10,14 @@ atom-graph engine — never a fabricated ``NO_ROUTE``.
 
 import math
 import pickle
+from dataclasses import replace
+from typing import Optional, Sequence
 
 import pytest
 
-from repro.chaos import ChaosInjector, acceptance_plan, sampled_plan
+from repro.chaos import ChaosInjector, acceptance_plan, run_chaos, sampled_plan
+from repro.chaos.runner import ChaosRunReport, degraded_fraction
+from repro.core.context import ScenarioContext
 from repro.core.faults import (
     ConvergenceStall,
     FaultPlan,
@@ -25,12 +29,18 @@ from repro.core.faults import (
 from repro.core.pipeline import ModelFreeBackend
 from repro.core.snapshot import PartialSnapshot, Snapshot
 from repro.corpus.fig2 import fig2_scenario
+from repro.corpus.fig3 import fig3_scenario
 from repro.dataplane.forwarding import Disposition, ForwardingWalk
+from repro.dataplane.model import Dataplane
+from repro.ensemble.runner import outcome_rows
 from repro.gnmi import server as gnmi_server
 from repro.gnmi.server import ExtractionError, dump_afts, extract_afts
 from repro.kube.kne import ConvergenceTimeout, KneDeployment
+from repro.net.addr import parse_ipv4
 from repro.obs import ConvergenceTimeline, tracing
-from repro.protocols.timers import FAST_TIMERS
+from repro.protocols.timers import FAST_TIMERS, PRODUCTION_TIMERS, TimerProfile
+from repro.topo.model import Topology
+from repro.verify.invariants import Pairwise, Probe, verification_summary
 from repro.verify.reachability import ReachabilityAnalysis, pairwise_matrix
 
 
@@ -280,6 +290,54 @@ class TestPodCrashDegradation:
         assert gauge.labels().value == pytest.approx(0.5)
 
 
+class TestDegradedGateway:
+    """A next hop owned by a live node that was never extracted: the
+    path's proof runs through the hole, so it answers UNKNOWN_DEGRADED
+    — not ``exits-network`` — and stays out of every denominator."""
+
+    PLAN = FaultPlan(name="flake-r2", faults=(GnmiFlake("r2", failures=100),))
+
+    @pytest.fixture(scope="class")
+    def snapshot(self):
+        backend = ModelFreeBackend(
+            fig3_scenario().topology, timers=FAST_TIMERS, quiet_period=5.0
+        )
+        return backend.run(seed=0, chaos=self.PLAN)
+
+    def test_row_answers_unknown_degraded(self, snapshot):
+        dataplane = snapshot.dataplane
+        assert set(snapshot.degraded_nodes) == {"r2"}
+        result = ForwardingWalk(dataplane).walk("r1", parse_ipv4("2.2.2.3"))
+        assert [t.disposition for t in result.traces] == [
+            Disposition.UNKNOWN_DEGRADED
+        ]
+        walker = ReachabilityAnalysis(dataplane, use_engine=False).analyze()
+        engine = ReachabilityAnalysis(dataplane).analyze()
+        assert [(str(r), r.dispositions) for r in engine] == [
+            (str(r), r.dispositions) for r in walker
+        ]
+        assert all(
+            Disposition.EXITS_NETWORK not in row.dispositions
+            for row in engine
+        )
+
+    def test_pairs_degraded_and_out_of_the_fold(self, snapshot):
+        probe = Probe(snapshot.dataplane)
+        assert probe.degraded_pairs() == {("r1", "r3"), ("r3", "r1")}
+        rows = outcome_rows(Pairwise(), probe)
+        assert "reach:r1->r3" not in rows
+        assert "reach:r3->r1" not in rows
+
+    def test_chaos_stability_unharmed(self):
+        report = run_chaos(
+            fig3_scenario().topology,
+            self.PLAN,
+            timers=FAST_TIMERS,
+            quiet_period=5.0,
+        )
+        assert report.stability == 1.0
+
+
 class TestDeterminism:
     """Same (plan, topology, seed) -> byte-identical replay."""
 
@@ -321,6 +379,73 @@ class TestDeterminism:
         assert pairwise_matrix(baseline.dataplane) == pairwise_matrix(
             empty.dataplane
         )
+
+
+class TestRunChaosOracle:
+    """``run_chaos`` as a fold over run-matrix records equals the
+    parent's own seed loop on 48 cases: fig2 and fig3, six plans, one
+    seed or three, with and without a temporal stream.
+
+    Pipeline runs are memoized per (corpus, backend settings, seed,
+    plan, temporal, context), so both sides fold the same converged
+    states and the comparison isolates the member list and the fold;
+    the pipeline's own replay determinism is :class:`TestDeterminism`'s.
+    """
+
+    PLANS = ("acceptance", "sampled-0", "sampled-1", "sampled-2",
+             "no-crash-0", "no-crash-1")
+
+    @pytest.fixture(scope="class")
+    def memo_runs(self):
+        runs = {}
+        original = ModelFreeBackend.run
+
+        def run(self, context=None, *, seed=0, snapshot_name=None,
+                verify=False, chaos=None, temporal=None):
+            key = (self.topology.name, self.timers, self.quiet_period,
+                   self.convergence_max_time, context, seed, chaos, temporal)
+            if key not in runs:
+                runs[key] = original(
+                    self, context, seed=seed, chaos=chaos, temporal=temporal
+                )
+            snapshot = replace(runs[key], metadata=dict(runs[key].metadata))
+            if verify:
+                snapshot.metadata["verification"] = verification_summary(
+                    snapshot.dataplane
+                )
+            return snapshot
+
+        patch = pytest.MonkeyPatch()
+        patch.setattr(ModelFreeBackend, "run", run)
+        yield runs
+        patch.undo()
+
+    @pytest.mark.parametrize("temporal", (None, True))
+    @pytest.mark.parametrize("seeds", (None, (0, 1, 2)))
+    @pytest.mark.parametrize("plan_kind", PLANS)
+    @pytest.mark.parametrize("corpus", ("fig2", "fig3"))
+    def test_matches_parent_run_chaos(
+        self, memo_runs, corpus, plan_kind, seeds, temporal
+    ):
+        scenario = fig2_scenario() if corpus == "fig2" else fig3_scenario()
+        topology = scenario.topology
+        names = sorted(spec.name for spec in topology.nodes)
+        if plan_kind == "acceptance":
+            plan = acceptance_plan(names)
+        else:
+            kind, plan_seed = plan_kind.rsplit("-", 1)
+            plan = sampled_plan(
+                names, seed=int(plan_seed), crash=kind == "sampled"
+            )
+        kwargs = dict(
+            seeds=seeds, temporal=temporal, timers=FAST_TIMERS,
+            quiet_period=5.0,
+        )
+        new = run_chaos(topology, plan, **kwargs).to_dict()
+        old = parent_run_chaos(topology, plan, **kwargs).to_dict()
+        for report in (new, old):
+            report.get("temporal", {}).pop("apply_seconds_total", None)
+        assert new == old
 
 
 class TestConvergenceStall:
@@ -397,3 +522,160 @@ class TestTimelineChaosSection:
         assert "node-down" in text
         assert "Degraded nodes" in text
         assert "pod-failed" in text
+
+
+# -- the parent's run_chaos, kept verbatim as an oracle --------------------------
+#
+# Before the run matrix, run_chaos ran its own (baseline, faulted) seed
+# loop on one backend with ``verify=True`` and a fingerprint-keyed
+# verdict cache. The fold over ``run_members`` records must report the
+# same thing.
+
+
+def pairwise_verdicts(dataplane: Dataplane) -> dict[str, bool]:
+    """Every device pair's :class:`Pairwise` verdict, keyed ``src->dst``."""
+    probe = Probe(dataplane)
+    failing = dict(Pairwise().findings(probe))
+    return {
+        f"{src}->{dst}": (src, dst) not in failing
+        for src, dst in sorted(probe.matrix())
+    }
+
+
+def verdict_stability(
+    baseline: dict[str, bool], faulted: dict[str, bool]
+) -> float:
+    """Fraction of verdicts present in both runs that agree."""
+    common = set(baseline) & set(faulted)
+    if not common:
+        return 1.0
+    agreeing = sum(1 for key in common if baseline[key] == faulted[key])
+    return agreeing / len(common)
+
+
+def parent_run_chaos(
+    topology: Topology,
+    plan: FaultPlan,
+    *,
+    context: Optional[ScenarioContext] = None,
+    seed: int = 0,
+    timers: TimerProfile = PRODUCTION_TIMERS,
+    quiet_period: float = 30.0,
+    convergence_max_time: float = 86_400.0,
+    temporal=None,
+    seeds: Optional[Sequence[int]] = None,
+) -> ChaosRunReport:
+    """Fault-free baseline + faulted run, scored for verdict stability.
+
+    Both runs share the topology, context, and seed, so with an empty
+    plan the two snapshots' verdicts are byte-identical — the bench's
+    fault-free regression gate.
+
+    ``temporal`` (True or a sequence of temporal invariants) records a
+    checkpoint stream through the *faulted* run, so the scenario is
+    also scored on its transient behavior — the report's ``temporal``
+    dict carries the violation intervals.
+
+    ``seeds`` scores the plan over an *ensemble* of faulted runs: one
+    baseline/faulted pair per seed on the same warm backend, stability
+    pooled across every pair (agreements over common verdicts, summed
+    across seeds). Fault timing is seed-jittered, so one seed's
+    stability is a sample, not a verdict. Degraded pairs stay out of
+    every denominator, and identical faulted fingerprints share one
+    verdict computation. The report's scalar fields (snapshots, logs,
+    verification) come from the first seed; the ``ensemble`` dict
+    carries the per-seed breakdown.
+    """
+    seed_list = tuple(seeds) if seeds is not None else (seed,)
+    if not seed_list:
+        seed_list = (seed,)
+    sweep = len(seed_list) > 1
+    backend = ModelFreeBackend(
+        topology,
+        timers=timers,
+        quiet_period=quiet_period,
+        convergence_max_time=convergence_max_time,
+    )
+    # fingerprint -> pairwise verdicts, shared across the sweep: seeds
+    # (and baseline/faulted pairs) that converge identically pay one
+    # matrix, mirroring the ensemble runner's outcome dedup.
+    verdict_cache: dict[int, dict[str, bool]] = {}
+
+    def verdicts_of(snapshot: Snapshot) -> dict[str, bool]:
+        fingerprint = snapshot.dataplane.fib_fingerprint()
+        cached = verdict_cache.get(fingerprint)
+        if cached is None:
+            cached = pairwise_verdicts(snapshot.dataplane)
+            verdict_cache[fingerprint] = cached
+        return cached
+
+    pairs = []
+    for run_seed in seed_list:
+        suffix = f":seed-{run_seed}" if sweep else ""
+        baseline = backend.run(
+            context,
+            seed=run_seed,
+            snapshot_name=f"chaos:baseline{suffix}",
+            verify=True,
+        )
+        faulted = backend.run(
+            context,
+            seed=run_seed,
+            snapshot_name=f"chaos:{plan.name}{suffix}",
+            verify=True,
+            chaos=plan,
+            temporal=temporal,
+        )
+        pairs.append((run_seed, baseline, faulted))
+
+    agreeing = 0
+    common_total = 0
+    per_seed_stability = {}
+    degraded_fractions = []
+    for run_seed, baseline, faulted in pairs:
+        base_verdicts = verdicts_of(baseline)
+        fault_verdicts = verdicts_of(faulted)
+        common = set(base_verdicts) & set(fault_verdicts)
+        agreeing += sum(
+            1 for key in common if base_verdicts[key] == fault_verdicts[key]
+        )
+        common_total += len(common)
+        per_seed_stability[run_seed] = verdict_stability(
+            base_verdicts, fault_verdicts
+        )
+        degraded_fractions.append(degraded_fraction(faulted.dataplane))
+
+    stability = agreeing / common_total if common_total else 1.0
+    ensemble_info = {}
+    if sweep:
+        distinct_faulted = len(
+            {f.dataplane.fib_fingerprint() for _, _, f in pairs}
+        )
+        ensemble_info = {
+            "seeds": list(seed_list),
+            "per_seed_stability": {
+                str(s): round(v, 6) for s, v in per_seed_stability.items()
+            },
+            "distinct_faulted_outcomes": distinct_faulted,
+        }
+
+    first_seed, baseline, faulted = pairs[0]
+    chaos_meta = faulted.metadata.get("chaos", {})
+    return ChaosRunReport(
+        plan=plan.describe(),
+        seed=first_seed,
+        survived=True,
+        degraded_nodes=dict(faulted.degraded_nodes),
+        retries=dict(faulted.metadata.get("extraction_retries", {})),
+        fault_log=list(chaos_meta.get("log", [])),
+        stability=stability,
+        degraded_verdict_fraction=(
+            sum(degraded_fractions) / len(degraded_fractions)
+        ),
+        baseline_verification=dict(baseline.metadata.get("verification", {})),
+        chaos_verification=dict(faulted.metadata.get("verification", {})),
+        baseline_snapshot=baseline,
+        chaos_snapshot=faulted,
+        temporal=dict(faulted.metadata.get("temporal", {})),
+        ensemble=ensemble_info,
+    )

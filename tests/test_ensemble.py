@@ -184,6 +184,24 @@ class TestEnsembleRunner:
         )
         clear_engine_cache()
 
+    def test_run_counters_recorded_once(self, fig3):
+        # The registry counters are the tracer's registry under a
+        # tracer: one increment per fold, not one per bus.
+        runner = EnsembleRunner(
+            fig3.topology,
+            seeds=(0, 1, 2),
+            timers=FAST_TIMERS,
+            quiet_period=5.0,
+        )
+        with tracing() as tracer:
+            report = runner.run(workers=1)
+        assert tracer.counters["ensemble.runs"] == report.runs == 3
+        assert tracer.counters["ensemble.outcomes"] == report.distinct
+
+    def test_empty_seed_list_rejected(self, fig3):
+        with pytest.raises(ValueError, match="no seeds"):
+            EnsembleRunner(fig3.topology, seeds=())
+
     def test_waypoint_invariant_rows(self, fig3_runner):
         snapshot = fig3_runner.last_records[0].snapshot
         via = sorted(snapshot.afts)[1]  # middle of the line: always on path
@@ -441,8 +459,62 @@ class TestChaosSeeds:
         assert report.ensemble == {}
         assert "ensemble" not in report.to_dict()
 
+    def test_seeds_none_runs_seed_and_empty_is_rejected(self, fig3):
+        from repro.chaos import run_chaos
+
+        nodes = sorted(spec.name for spec in fig3.topology.nodes)
+        plan = sampled_plan(nodes, seed=1, intensity=2, crash=False)
+        report = run_chaos(
+            fig3.topology, plan, seed=3, timers=FAST_TIMERS, quiet_period=5.0
+        )
+        assert report.seed == 3
+        assert report.baseline_snapshot.seed == 3
+        with pytest.raises(ValueError, match="no seeds"):
+            run_chaos(fig3.topology, plan, seeds=())
+
 
 class TestCampaignEnsemble:
+    def test_seed_sweep_is_one_pool(self, fig2, monkeypatch):
+        import concurrent.futures
+
+        from repro.whatif import WhatIfCampaign, single_link_failures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        campaign = WhatIfCampaign(
+            fig2.topology,
+            list(single_link_failures(fig2.topology))[:3],
+            timers=FAST_TIMERS,
+            quiet_period=5.0,
+        )
+        sequential = campaign.run_ensemble(seeds=(0, 1, 2, 3), workers=1)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", CountingPool
+        )
+        sharded = campaign.run_ensemble(seeds=(0, 1, 2, 3), workers=2)
+        assert len(pools) == 1
+        assert sharded.verdicts == sequential.verdicts
+        # Warm timings depend on which scenarios shared a deployment;
+        # the forwarding outcomes may not.
+        def outcomes(result):
+            return [
+                (r.baseline_invariants, [
+                    (v.scenario, v.fib_fingerprint, v.reverted_clean,
+                     v.severity)
+                    for v in r.verdicts
+                ])
+                for r in result.reports
+            ]
+
+        assert outcomes(sharded) == outcomes(sequential)
+        assert [r.workers for r in sharded.reports] == [2] * 4
+
+
     def test_run_ensemble_folds_scenarios(self, fig3):
         from repro.whatif import WhatIfCampaign, single_link_failures
 
@@ -490,6 +562,14 @@ class TestEnsembleCli:
         assert payload["verdicts"]
         capsys.readouterr()
 
+    @pytest.mark.parametrize("verb", ("ensemble", "chaos"))
+    def test_cli_empty_seed_list_exits(self, verb, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="--seeds"):
+            main([verb, "--corpus", "fig3", "--seeds", "0"])
+        assert "run(s)" not in capsys.readouterr().out
+
     def test_cli_seed_spec_rejected(self):
         from repro.cli import _parse_seeds
 
@@ -497,3 +577,6 @@ class TestEnsembleCli:
         assert _parse_seeds("1,5,9") == (1, 5, 9)
         with pytest.raises(SystemExit):
             _parse_seeds("three")
+        for spec in ("0", ",", "-2"):
+            with pytest.raises(SystemExit, match="--seeds"):
+                _parse_seeds(spec)

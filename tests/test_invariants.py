@@ -151,14 +151,6 @@ def verification_summary(dataplane: Dataplane) -> dict[str, int]:
 # -- chaos verdict helpers -----------------------------------------------------
 
 
-def pairwise_verdicts(dataplane: Dataplane) -> dict[str, bool]:
-    """The all-pairs matrix with JSON-friendly ``src->dst`` keys."""
-    return {
-        f"{src}->{dst}": reachable
-        for (src, dst), reachable in sorted(pairwise_matrix(dataplane).items())
-    }
-
-
 def degraded_fraction(dataplane: Dataplane) -> float:
     """Fraction of reachability rows answering UNKNOWN_DEGRADED."""
     rows = ReachabilityAnalysis(dataplane).analyze()
@@ -673,9 +665,6 @@ def assert_snapshot_lifts(dataplane: Dataplane) -> None:
         (v.src, v.dst, str(v)) for v in verify_pairwise_reachability(dataplane)
     ]
     assert inv.verification_summary(dataplane) == verification_summary(
-        dataplane
-    )
-    assert chaos_runner.pairwise_verdicts(dataplane) == pairwise_verdicts(
         dataplane
     )
     assert chaos_runner.degraded_fraction(dataplane) == degraded_fraction(

@@ -320,6 +320,17 @@ class TestParallelCampaign:
             assert seq_v.reverted_clean == par_v.reverted_clean
             assert seq_v.severity == par_v.severity
 
+    def test_campaign_without_scenarios_reports_each_baseline(self):
+        campaign = ring_campaign([])
+        report = campaign.run()
+        assert report.verdicts == []
+        assert report.baseline_invariants
+        result = campaign.run_ensemble(seeds=(0, 1), workers=2)
+        assert [r.baseline_invariants for r in result.reports] == [
+            report.baseline_invariants
+        ] * 2
+        assert result.verdicts == []
+
 
 class TestReportShapes:
     def test_severity_weights(self):
