@@ -43,7 +43,8 @@ ROUTES = 60 if SMOKE else 500
 # cutting r7-r5 is off every peer-route shortest path, so the honest
 # churn dirties a handful of atoms — the regime the delta path exists
 # for. The on-path cut r2-r1 legitimately reroutes a large table slice
-# and is reported (never gated) to keep the fallback cost visible.
+# (as next-hop-group rewrites) and is reported, never gated, to keep
+# its cost — or its fallback, should it fall back — visible.
 DELTA_NODES = 10
 DELTA_PEERS = 1
 DELTA_ROUTES = 800 if SMOKE else 2000

@@ -28,9 +28,13 @@ from repro.topo.model import Topology
 from repro.verify.invariants import Pairwise, Probe, verification_summary
 
 
-def degraded_fraction(dataplane: Dataplane) -> float:
-    """Fraction of reachability rows answering UNKNOWN_DEGRADED."""
-    probe = Probe(dataplane)
+def degraded_fraction(
+    dataplane: Dataplane, probe: Optional[Probe] = None
+) -> float:
+    """Fraction of reachability rows answering UNKNOWN_DEGRADED
+    (``probe``, when given, is ``dataplane``'s)."""
+    if probe is None:
+        probe = Probe(dataplane)
     rows = probe.rows()
     return len(probe.degraded()) / len(rows) if rows else 0.0
 
@@ -138,11 +142,16 @@ def run_chaos(
     agreeing = common_total = 0
     degraded_total = 0.0
     per_seed_stability = {}
-    for baseline, faulted in pairs:
-        base_rows, fault_rows = (
-            outcome_rows(Pairwise(), Probe(record.snapshot.dataplane))
-            for record in (baseline, faulted)
-        )
+    # One probe per record: its rows and sample walks serve the
+    # stability rows, the degraded fraction and the first seed's
+    # verification summaries.
+    probes = [
+        (Probe(base.snapshot.dataplane), Probe(fault.snapshot.dataplane))
+        for base, fault in pairs
+    ]
+    for (baseline, faulted), (base_probe, fault_probe) in zip(pairs, probes):
+        base_rows = outcome_rows(Pairwise(), base_probe)
+        fault_rows = outcome_rows(Pairwise(), fault_probe)
         common = base_rows.keys() & fault_rows.keys()
         agree = sum(base_rows[key][0] == fault_rows[key][0] for key in common)
         agreeing += agree
@@ -150,7 +159,9 @@ def run_chaos(
         per_seed_stability[baseline.seed] = (
             agree / len(common) if common else 1.0
         )
-        degraded_total += degraded_fraction(faulted.snapshot.dataplane)
+        degraded_total += degraded_fraction(
+            faulted.snapshot.dataplane, fault_probe
+        )
 
     ensemble_info = {}
     if len(seed_list) > 1:
@@ -165,6 +176,7 @@ def run_chaos(
         }
 
     baseline, faulted = (record.snapshot for record in pairs[0])
+    base_probe, fault_probe = probes[0]
     chaos_meta = faulted.metadata.get("chaos", {})
     return ChaosRunReport(
         plan=plan.describe(),
@@ -175,8 +187,12 @@ def run_chaos(
         fault_log=list(chaos_meta.get("log", [])),
         stability=agreeing / common_total if common_total else 1.0,
         degraded_verdict_fraction=degraded_total / len(pairs),
-        baseline_verification=verification_summary(baseline.dataplane),
-        chaos_verification=verification_summary(faulted.dataplane),
+        baseline_verification=verification_summary(
+            baseline.dataplane, base_probe
+        ),
+        chaos_verification=verification_summary(
+            faulted.dataplane, fault_probe
+        ),
         baseline_snapshot=baseline,
         chaos_snapshot=faulted,
         temporal=dict(faulted.metadata.get("temporal", {})),

@@ -46,8 +46,9 @@ processes, each on its own deployment.
 chosen backend to convergence, reports reachability health, and can
 persist the extracted snapshot for later offline queries.
 ``--delta-stats`` (on ``verify`` and ``diff``) prints how the engine
-came to exist: dirty-atom count and reused-vs-rebuilt device indexes
-for an incremental derivation, or the fallback reason for a cold build.
+came to exist: dirty- and structural-atom counts, group rewrites and
+reused-vs-rebuilt device indexes for an incremental derivation, or the
+fallback reason for a cold build.
 
 ``temporal`` verifies the network *during* convergence: it converges a
 baseline, flaps one link while recording a checkpoint stream of FIB
@@ -130,6 +131,10 @@ def _print_delta_stats(engine) -> None:
     print(
         f"  dirty atoms: {stats.dirty_atoms}/{stats.total_atoms} "
         f"({stats.dirty_fraction:.1%})"
+    )
+    print(
+        f"  structural atoms: {stats.structural_atoms}, "
+        f"group rewrites: {stats.rewrites}"
     )
     print(f"  reused verdict tables: {stats.reused_tables}")
     print(

@@ -8,7 +8,7 @@ what was actually extracted.
 """
 
 from repro.dataplane.model import Dataplane, DeviceForwarding, L3Edge
-from repro.dataplane.delta import DataplaneDelta, DeviceDelta
+from repro.dataplane.delta import DataplaneDelta, DeviceDelta, GroupRewrite
 from repro.dataplane.forwarding import (
     Disposition,
     ForwardingWalk,
@@ -24,6 +24,7 @@ __all__ = [
     "DeviceForwarding",
     "Disposition",
     "ForwardingWalk",
+    "GroupRewrite",
     "Hop",
     "L3Edge",
     "Trace",

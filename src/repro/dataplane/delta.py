@@ -12,6 +12,17 @@ engine consumes this to derive a new engine incrementally
 (:meth:`~repro.verify.engine.AtomGraphEngine.apply_delta`) instead of
 rebuilding from scratch.
 
+Changed entries are split in two. A *group rewrite* keeps its prefix
+and entry type and only swaps its next-hop group: every prefix the IGP
+re-routes through one new group is one :class:`GroupRewrite`, because
+:class:`~repro.dataplane.model.DeviceForwarding` shares one hops tuple
+per group (the OpenConfig AFT next-hop-group indirection). A link cut
+that re-routes hundreds of prefixes is a handful of rewrites; it moves
+no destination-space boundary and keeps every LPM decision, so the
+engine patches it per group. Everything else — added and removed
+prefixes, entry-type changes, moved interfaces, degraded flips — is
+*structural*.
+
 The delta is deliberately conservative about what it claims to cover:
 
 * a device-set change (node added/removed, including single-node
@@ -26,8 +37,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.dataplane.model import Dataplane, DeviceForwarding
+from repro.dataplane.model import (
+    Dataplane,
+    DeviceForwarding,
+    ForwardingEntry,
+    ResolvedHop,
+)
 from repro.net.addr import Prefix
+
+
+@dataclass(frozen=True)
+class GroupRewrite:
+    """The entries of one device that moved from one next-hop group to
+    another: same prefixes, same entry type, new hops.
+
+    ``entries`` are the *target* entries, each carrying the shared
+    ``new_hops`` tuple.
+    """
+
+    old_hops: tuple[ResolvedHop, ...]
+    new_hops: tuple[ResolvedHop, ...]
+    entries: tuple[ForwardingEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -35,7 +65,9 @@ class DeviceDelta:
     """One touched device's FIB difference, keyed by prefix.
 
     ``changed`` holds prefixes present on both sides whose entry content
-    (type or resolved hops) differs. ``links_changed`` flags interface
+    (type or resolved hops) differs; ``rewrites`` groups the ones whose
+    type stayed put by (old hops, new hops), and ``retyped`` lists the
+    rest. ``links_changed`` flags interface
     addressing or subnet-adjacency differences — for those, entry
     equality no longer implies behaviour equality, so the engine must
     compare resolved decision structs instead of raw entries.
@@ -51,10 +83,18 @@ class DeviceDelta:
     #: interface still resolves identically on both sides, which lets
     #: the engine skip most struct comparisons on link-touched devices.
     changed_interfaces: tuple[str, ...] = ()
+    rewrites: tuple[GroupRewrite, ...] = ()
+    retyped: tuple[Prefix, ...] = ()
 
     @property
     def fib_prefixes(self) -> tuple[Prefix, ...]:
         return self.added + self.removed + self.changed
+
+    @property
+    def structural_prefixes(self) -> tuple[Prefix, ...]:
+        """The FIB changes that can move an LPM decision or an entry
+        type: everything but the group rewrites."""
+        return self.added + self.removed + self.retyped
 
     def __str__(self) -> str:
         bits = [
@@ -65,10 +105,6 @@ class DeviceDelta:
         if self.links_changed:
             bits.append("links")
         return f"{self.device}({','.join(bits)})"
-
-
-def _prefix_key(prefix: Prefix) -> tuple[int, int]:
-    return (prefix.network, prefix.length)
 
 
 def _per_device_adjacency(
@@ -110,34 +146,63 @@ def _diff_device(
     target: DeviceForwarding,
     changed_interfaces: tuple[str, ...],
 ) -> DeviceDelta:
-    # Two-pointer merge over both FIBs in prefix order: one linear pass,
-    # no intermediate dicts or set algebra — this runs on every touched
-    # device of every delta, against full-table FIBs. Each device's
-    # table caches its sorted view, so a FIB is sorted once ever.
+    # One linear pass over both FIBs in prefix order, no set algebra —
+    # this runs on every touched device of every delta, against
+    # full-table FIBs. Each device's table caches its sorted view, so a
+    # FIB is sorted once ever; (network << 6 | length) is the order it
+    # is sorted in, as one int per entry.
     base_items = base.sorted_entries()
     target_items = target.sorted_entries()
+    base_keys = [p.network << 6 | p.length for p, _ in base_items]
+    target_keys = [p.network << 6 | p.length for p, _ in target_items]
     added: list[Prefix] = []
     removed: list[Prefix] = []
+    if base_keys == target_keys:
+        # The common churn shape: same prefixes, some entries re-routed.
+        pairs: list = list(zip(base_items, target_items))
+    else:
+        pairs = []
+        i = j = 0
+        base_count, target_count = len(base_keys), len(target_keys)
+        while i < base_count and j < target_count:
+            if base_keys[i] == target_keys[j]:
+                pairs.append((base_items[i], target_items[j]))
+                i += 1
+                j += 1
+            elif base_keys[i] < target_keys[j]:
+                removed.append(base_items[i][0])
+                i += 1
+            else:
+                added.append(target_items[j][0])
+                j += 1
+        removed.extend(prefix for prefix, _ in base_items[i:])
+        added.extend(prefix for prefix, _ in target_items[j:])
     changed: list[Prefix] = []
-    i = j = 0
-    while i < len(base_items) and j < len(target_items):
-        base_prefix, base_entry = base_items[i]
-        target_prefix, target_entry = target_items[j]
-        base_key = _prefix_key(base_prefix)
-        target_key = _prefix_key(target_prefix)
-        if base_key == target_key:
-            if base_entry != target_entry:
-                changed.append(base_prefix)
-            i += 1
-            j += 1
-        elif base_key < target_key:
-            removed.append(base_prefix)
-            i += 1
-        else:
-            added.append(target_prefix)
-            j += 1
-    removed.extend(prefix for prefix, _ in base_items[i:])
-    added.extend(prefix for prefix, _ in target_items[j:])
+    retyped: list[Prefix] = []
+    # (id(old hops), id(new hops)) -> None when the two hop tuples are
+    # equal, else [old hops, new hops, *target entries]. Each side
+    # shares one hops tuple per next-hop group, so one comparison per
+    # group pair decides every entry through it.
+    groups: dict[tuple[int, int], Optional[list]] = {}
+    for (prefix, base_entry), (_, target_entry) in pairs:
+        if base_entry is target_entry:
+            continue
+        if base_entry.entry_type != target_entry.entry_type:
+            changed.append(prefix)
+            retyped.append(prefix)
+            continue
+        group = (id(base_entry.hops), id(target_entry.hops))
+        try:
+            bucket = groups[group]
+        except KeyError:
+            bucket = groups[group] = (
+                None
+                if base_entry.hops == target_entry.hops
+                else [base_entry.hops, target_entry.hops]
+            )
+        if bucket is not None:
+            changed.append(prefix)
+            bucket.append(target_entry)
     return DeviceDelta(
         device=base.name,
         added=tuple(added),
@@ -145,6 +210,12 @@ def _diff_device(
         changed=tuple(changed),
         links_changed=bool(changed_interfaces),
         changed_interfaces=changed_interfaces,
+        rewrites=tuple(
+            GroupRewrite(bucket[0], bucket[1], tuple(bucket[2:]))
+            for bucket in groups.values()
+            if bucket is not None
+        ),
+        retyped=tuple(retyped),
     )
 
 
@@ -317,11 +388,12 @@ class DataplaneDelta:
         guarantees each derived atom has one constant decision vector in
         *both* snapshots — including boundaries of *removed* prefixes,
         which are harmless over-refinement (any refinement of a valid
-        partition stays valid).
+        partition stays valid). A group rewrite's prefix is on both
+        sides, so its boundaries are already in the base partition.
         """
         out: set[Prefix] = set()
         for device_delta in self.device_deltas.values():
-            out.update(device_delta.fib_prefixes)
+            out.update(device_delta.structural_prefixes)
             if device_delta.links_changed:
                 changed = set(device_delta.changed_interfaces)
                 for dataplane in (self.base, self.target):

@@ -1,18 +1,24 @@
 """Incremental temporal evaluation over a checkpoint stream.
 
-One warm :class:`~repro.verify.engine.AtomGraphEngine` is threaded
-through the stream with ``apply_delta`` — each checkpoint costs a
-sparse patch, not a rebuild — and every invariant is evaluated against
-every checkpoint. Findings are stitched into
-:class:`~repro.temporal.invariants.ViolationInterval` rows.
+One engine lineage is advanced through the stream with
+:func:`~repro.verify.engine.advance_engine` — each checkpoint costs a
+patch of the previous checkpoint's engine (per next-hop group for the
+IGP's rewrites, per atom for structural changes), never a rebuild —
+and every invariant is evaluated against every checkpoint. Findings are
+stitched into :class:`~repro.temporal.invariants.ViolationInterval`
+rows. Every step goes through the content-keyed engine cache: given
+the caller's ``base`` engine (a what-if campaign passes its baseline's),
+checkpoint 0 is that engine itself, and the final checkpoint's engine
+stays cached for whoever verifies the converged state next.
 
 ``use_delta=False`` is the brute-force oracle: a cold, fully
 precomputed engine per checkpoint, identical interval logic. The test
 suite holds the two modes to row-for-row equality; the benchmark holds
 them ≥5× apart in wall time. When a delta is structurally unappliable
-(or dirties more atoms than the engine's ``DELTA_THRESHOLD`` allows), the
-incremental mode falls back to a cold build for that step and keeps
-going — correctness never depends on the fast path being available.
+(or its structural changes reach more atoms than the engine's
+``DELTA_THRESHOLD`` allows), the incremental mode falls back to a cold
+build for that step and keeps going — correctness never depends on the
+fast path being available.
 
 Flow universe: every owned address that exists at *any* checkpoint,
 against every ingress device. Using a single checkpoint's address map
@@ -38,7 +44,7 @@ from repro.temporal.invariants import (
     describe_key,
     stream_name,
 )
-from repro.verify.engine import AtomGraphEngine, DeltaUnapplicable
+from repro.verify.engine import AtomGraphEngine, advance_engine, engine_for
 from repro.verify.invariants import Invariant, Probe
 
 
@@ -143,22 +149,19 @@ class TemporalReport:
         return "\n".join(lines)
 
 
-def _cold_engine(checkpoint: Checkpoint) -> AtomGraphEngine:
-    engine = AtomGraphEngine(checkpoint.dataplane, _observe=False)
-    engine.precompute()
-    return engine
-
-
 def evaluate_stream(
     stream: CheckpointStream,
     invariants: Optional[Sequence[Invariant]] = None,
     *,
     use_delta: bool = True,
+    base: Optional[AtomGraphEngine] = None,
 ) -> TemporalReport:
     """Evaluate ``invariants`` at every checkpoint of ``stream``.
 
-    Intervals are ordered by (t_start, invariant, witness) so
-    incremental and oracle runs compare row-for-row.
+    ``base`` is the engine the lineage starts from (checkpoint 0
+    derives from it, or is it); without one, checkpoint 0 comes from
+    the engine cache. Intervals are ordered by (t_start, invariant,
+    witness) so incremental and oracle runs compare row-for-row.
     """
     checks = (
         list(invariants) if invariants is not None else default_invariants()
@@ -175,19 +178,22 @@ def evaluate_stream(
     open_intervals: dict = {}
     closed: list[ViolationInterval] = []
 
-    engine: Optional[AtomGraphEngine] = None
+    engine = base
     prev_t: Optional[float] = None
     for checkpoint in stream.checkpoints:
         start = time.perf_counter()
-        if engine is None or not use_delta or checkpoint.delta is None:
-            engine = _cold_engine(checkpoint)
+        if not use_delta:
+            engine = AtomGraphEngine(checkpoint.dataplane)
+            engine.precompute()
+        elif engine is None:
+            engine = engine_for(checkpoint.dataplane)
         else:
-            try:
-                engine = engine.apply_delta(checkpoint.delta)
-            except DeltaUnapplicable as exc:
+            engine, reason = advance_engine(
+                engine, checkpoint.dataplane, checkpoint.delta
+            )
+            if reason is not None:
                 report.fallbacks += 1
-                report.fallback_reasons.append(exc.reason)
-                engine = _cold_engine(checkpoint)
+                report.fallback_reasons.append(reason)
         step_seconds = time.perf_counter() - start
         report.apply_seconds.append(step_seconds)
         if registry.enabled:

@@ -163,11 +163,16 @@ class BaselineDiff:
             self.last_delta_stats = None
             return self._judge((), self.baseline_invariants, identical=True)
         # Rows first: differential_reachability derives the snapshot's
-        # engine from the baseline's via the delta path, and the
-        # invariant summary below reuses it from the content cache —
-        # so a single-link scenario verifies in time proportional to
-        # its churn, never to the network.
-        rows = differential_reachability(self.reference, snapshot)
+        # engine from the pinned baseline engine via the delta path (or
+        # finds it cached — a temporal stream leaves its final engine
+        # there), and the invariant summary below reuses it from the
+        # content cache — so a single-link scenario verifies in time
+        # proportional to its churn, never to the network. The pin,
+        # not the LRU, serves as reference: checkpoint engines pass
+        # through the LRU and may have evicted the baseline's.
+        rows = differential_reachability(
+            self.reference, snapshot, reference_engine=self.reference_engine
+        )
         self.last_delta_stats = engine_for(snapshot).delta_stats
         return self._judge(rows, verification_summary(snapshot))
 
@@ -194,6 +199,7 @@ def differential_reachability(
     ingress_nodes: Optional[Iterable[str]] = None,
     dst_space: Optional[HeaderSpace] = None,
     atoms: Optional[Sequence[IntervalSet]] = None,
+    reference_engine: Optional[AtomGraphEngine] = None,
 ) -> list[DifferentialRow]:
     """All behaviour differences between two snapshots.
 
@@ -218,13 +224,20 @@ def differential_reachability(
     refine the union partition of both dataplanes — a caller comparing
     many snapshots passes one shared across all of them, so each
     snapshot's engine is built once, not once per pair).
+    ``reference_engine`` supplies the reference's default-partition
+    engine when the caller holds one (it is the snapshot engine's
+    lineage base).
     """
     common = set(reference.node_names()) & set(snapshot.node_names())
     nodes = sorted(common if ingress_nodes is None else
                    common & set(ingress_nodes))
     restriction = dst_space.dst_values() if dst_space is not None else None
     if atoms is None:
-        ref_engine = engine_for(reference)
+        ref_engine = (
+            reference_engine
+            if reference_engine is not None
+            else engine_for(reference)
+        )
         new_engine = engine_for(snapshot, base=ref_engine)
         ref_engine.precompute()
         new_engine.precompute()

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
@@ -55,9 +55,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataplane.delta import DataplaneDelta
 
 
-#: Ceiling on the dirty-atom fraction a delta apply will patch; above
-#: it a cold build is cheaper than the bookkeeping (a float in (0, 1]).
-DELTA_THRESHOLD = 0.35
+#: Ceiling on the fraction of atoms a delta's *structural* changes may
+#: reach before a delta apply gives up (a float in (0, 1]). Group
+#: rewrites never count: they patch per next-hop group. Structural atoms
+#: cost a per-atom target-table probe each; on an 8-node, 642-atom
+#: production fabric (2-core box) withdrawing prefixes made the patch as
+#: dear as a cold build at about 0.6 of the atoms, and adding them never
+#: did up to 0.84, so 0.5 keeps a margin below the crossover.
+DELTA_THRESHOLD = 0.5
 
 #: Buckets for the ``verify.dirty_atoms`` histogram: dirty-atom counts,
 #: not seconds — single-link churn lands in the low buckets, and the
@@ -66,6 +71,19 @@ DIRTY_ATOM_BUCKETS = (
     1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0,
 )
+
+
+def _gateway_devices(dataplane: Dataplane, addresses: set[int]) -> set[str]:
+    """Devices with a next hop whose gateway is one of ``addresses``."""
+    return {
+        name
+        for name, device in dataplane.devices.items()
+        if any(
+            hop.gateway in addresses
+            for _prefix, entry in device.trie.items()
+            for hop in entry.hops
+        )
+    }
 
 
 def _prefix_indexes(prefixes, reps: list[int]) -> set[int]:
@@ -109,7 +127,12 @@ class DeltaStats:
     """
 
     base_fingerprint: Optional[int] = None
+    #: Atoms whose verdict table was re-derived (patched or rebuilt).
     dirty_atoms: int = 0
+    #: Atoms a structural change reached (the ``DELTA_THRESHOLD`` gate).
+    structural_atoms: int = 0
+    #: Next-hop-group rewrites patched per group.
+    rewrites: int = 0
     total_atoms: int = 0
     reused_tables: int = 0
     reused_indexes: int = 0
@@ -198,6 +221,10 @@ class AtomGraphEngine:
         # Nested per device so apply_delta can adopt an untouched
         # device's whole sub-cache with one dict copy (no re-hashing).
         self._node_cache: dict[str, dict] = {}
+        # Per-atom lineage state for apply_delta (see _decision_lists
+        # and _atom_keys), filled on first use.
+        self._decisions: Optional[dict[str, list]] = None
+        self._keys: Optional[list] = None
         self._complete = False
         # Delta-derived engines skip the build counters: they are not
         # cold builds, and report through verify.delta_applies instead.
@@ -256,23 +283,38 @@ class AtomGraphEngine:
         The correctness spine: any *refinement* of a valid atom
         partition stays valid (class docstring), so the derived engine
         partitions at this engine's boundaries plus every boundary the
-        delta moved. Each derived atom then lies inside exactly one base
-        atom, and its decision vector can only differ from the base's on
-        a *touched* device (untouched devices have identical FIB content
-        and identical adjacency, so their decision at any address is
-        unchanged) or via a degraded-ownership flip. Atoms where no
-        touched device's decision changed reuse the base verdict tables
-        outright; only *dirty* atoms re-run graph assembly and SCC
-        condensation. Untouched devices keep their resident
-        :class:`~repro.dataplane.model.CompiledLpmIndex`, node-struct
-        cache, and hop-peer resolutions, and the ``_shared``
-        decision-vector dedup tables carry over wholesale.
+        delta's structural changes move. Each derived atom lies inside
+        exactly one base atom and inherits its *decision vector* — the
+        per-device structs its verdict table is shared under — except
+        on a device whose struct there changed:
+
+        * a **group rewrite** keeps the atom's governing prefix (it is
+          on both sides) and only swaps the entry's next-hop group, so
+          the struct becomes the new group's, resolved once per group
+          against the target adjacency (per atom only where it depends
+          on the representative address);
+        * a **structural** change (added/removed prefix, entry-type
+          change) can move the governing prefix itself, so those atoms
+          re-probe the target table;
+        * on a device whose interfaces moved, or whose next hop names a
+          gateway whose degraded ownership flipped, an unchanged entry
+          through the moved part resolves again;
+        * a degraded-ownership flip rebuilds the atom outright, since
+          UNKNOWN_DEGRADED bypasses decision structs.
+
+        A patched vector is looked up in ``_shared`` — valid across the
+        lineage because the node universe and ACL taint set are
+        unchanged (checked below) — and only a vector never seen before
+        runs graph assembly and SCC condensation. Untouched devices keep
+        their resident compiled index, node-struct cache and hop-peer
+        resolutions; touched devices never build one.
 
         Requires this engine's atoms to be a sorted full-cover partition
-        (true for everything :func:`engine_for` builds). Raises
-        :class:`DeltaUnapplicable` — device-set or ACL changes, or a
-        dirty fraction above :data:`DELTA_THRESHOLD` — when a cold build
-        is the correct (or cheaper) move; the caller falls back.
+        that refines its own dataplane's (true for everything
+        :func:`engine_for` builds). Raises :class:`DeltaUnapplicable` —
+        device-set or ACL changes, or a structural-atom fraction above
+        :data:`DELTA_THRESHOLD` — when a cold build is the correct (or
+        cheaper) move; the caller falls back.
         """
         start = time.perf_counter()
         if delta.base is not self.dataplane:
@@ -282,69 +324,50 @@ class AtomGraphEngine:
             raise DeltaUnapplicable(reason)
         # Note: a high touched-*device* count is deliberately not a
         # fallback trigger. A single link cut touches every device (the
-        # link's subnet route vanishes network-wide) yet dirties few
-        # atoms; the per-device sweeps below are linear merges — far
-        # cheaper than the graph evaluations they let us skip — so the
-        # dirty-atom fraction is the only cost gate that matters.
+        # link's subnet route vanishes network-wide) and rewrites groups
+        # on most of them, yet moves few LPM decisions; the structural
+        # fraction is the only cost gate that matters.
         touched = list(delta.device_deltas)
         target = delta.target
-        # Clean derived atoms adopt base tables, so every base table
-        # must exist; the base is usually precomputed already (it served
-        # queries before the churn arrived).
-        self._ensure_all()
+        # Clean derived atoms adopt base tables and patched ones start
+        # from the base decision vector, so every base table must exist;
+        # the base is usually precomputed already (it served queries
+        # before the churn arrived).
+        decisions = self._decision_lists()
+        self._ensure_all(decisions)
+        keys = self._atom_keys()
 
-        # (a) Refine the partition only where changed prefixes split
-        # existing atoms. One merge walk over the base atoms: unsplit
-        # atoms (the overwhelming majority) are reused as objects, and
-        # every derived atom records which base atom contains it — so
-        # the adoption loop below needs no per-atom binary search.
-        base_reps = set(self._reps)
-        extra: set[int] = set()
-        for prefix in delta.boundary_prefixes():
-            for cut in (prefix.first, prefix.last + 1):
-                if cut <= MAX_IPV4 and cut not in base_reps:
-                    extra.add(cut)
-        if extra:
-            extra_cuts = sorted(extra)
-            reps: list[int] = []
-            atoms: list[IntervalSet] = []
-            base_of: list[int] = []
-            k = 0
-            base_uppers = self._reps[1:] + [MAX_IPV4 + 1]
-            for base_index, (lo, hi) in enumerate(
-                zip(self._reps, base_uppers)
-            ):
-                if k < len(extra_cuts) and extra_cuts[k] < hi:
-                    bounds = [lo]
-                    while k < len(extra_cuts) and extra_cuts[k] < hi:
-                        bounds.append(extra_cuts[k])
-                        k += 1
-                    bounds.append(hi)
-                    for piece_lo, piece_hi in zip(bounds, bounds[1:]):
-                        reps.append(piece_lo)
-                        atoms.append(IntervalSet.span(piece_lo, piece_hi - 1))
-                        base_of.append(base_index)
-                else:
-                    reps.append(lo)
-                    atoms.append(self.atoms[base_index])
-                    base_of.append(base_index)
-        else:
-            reps = list(self._reps)
-            atoms = list(self.atoms)
-            base_of = list(range(len(atoms)))
+        # (a) Refine the partition only where structural changes split
+        # existing atoms; each derived atom starts from its base atom's
+        # decisions and vector.
+        reps, atoms, base_of = self._refined_partition(delta)
+        if len(atoms) != len(self.atoms):
+            decisions = {
+                name: [column[b] for b in base_of]
+                for name, column in decisions.items()
+            }
+            keys = [keys[b] for b in base_of]
         derived = AtomGraphEngine(target, atoms, _observe=False)
+
+        # Devices where an unchanged entry can resolve differently: a
+        # moved interface, or a next hop whose gateway's degraded
+        # ownership flipped.
+        flips = set(delta.degraded_changed_addresses)
+        moved = {
+            name: frozenset(device_delta.changed_interfaces)
+            for name, device_delta in delta.device_deltas.items()
+            if device_delta.links_changed
+        }
+        reresolve = set(moved)
+        if flips:
+            reresolve |= _gateway_devices(target, flips)
 
         # Resident-state reuse. Untouched devices share their compiled
         # LPM index outright. Node-struct and hop-peer caches survive
         # FIB-only churn too — structs are keyed by entry *content* and
         # depend otherwise only on the device's adjacency/addressing —
-        # so only link-touched devices drop theirs.
+        # so only re-resolved devices drop theirs.
         touched_set = set(touched)
-        links_touched = {
-            name
-            for name in touched
-            if delta.device_deltas[name].links_changed
-        }
         reused_indexes = 0
         for name in self._names:
             if name in touched_set:
@@ -356,114 +379,255 @@ class AtomGraphEngine:
         derived._node_cache = {
             name: dict(sub)
             for name, sub in self._node_cache.items()
-            if name not in links_touched
+            if name not in reresolve
         }
         derived._hop_peers = {
             key: peer
             for key, peer in self._hop_peers.items()
-            if key[0] not in links_touched
+            if key[0] not in moved
         }
         # Valid because the node universe and ACL taint set are
         # unchanged (checked above): equal struct vectors evaluate to
         # the same verdict table in both engines.
         derived._shared = dict(self._shared)
 
-        # (b) Dirty atoms: where any touched device's decision changed.
-        # A FIB diff can only move a device's governing entry *inside
-        # the diffed prefixes' own ranges* — everywhere else both tables
-        # agree on the winning entry — and a moved interface can only
-        # change how an entry resolves where the governing entry's hops
-        # leave through it, or inside the interface's own prefixes
-        # (address ownership, direct delivery). So instead of sweeping
-        # every rep, collect the candidate indexes those ranges cover
-        # and confirm each one: FIB-only devices compare governing
-        # entries (equal entry + unchanged adjacency => equal struct),
-        # link-touched devices compare resolved structs, since the same
-        # entry can now point at a different neighbor. Everything
-        # outside the candidate set is provably clean.
-        degraded_flips = set(delta.degraded_changed_addresses)
-        candidates: dict[int, list[str]] = {}
-        links_changed = {
-            name: delta.device_deltas[name].links_changed for name in touched
-        }
+        # (b) Structural atoms: where a structural change on a touched
+        # device can move its governing entry — inside the changed
+        # prefixes' own ranges (everywhere else both tables agree on
+        # the winning prefix) and inside a moved interface's /32 and
+        # subnet (address ownership, direct delivery). Each is probed
+        # in the target table directly: never a compiled-index rebuild,
+        # whose cost is what this whole path avoids.
+        rebuild = {bisect_right(reps, address) - 1 for address in flips}
+        structural = set(rebuild)
+        columns = dict(decisions)  # copied per device before any write
+        pending: dict[str, set[int]] = {}
         for name in touched:
             device_delta = delta.device_deltas[name]
-            indexes = _prefix_indexes(device_delta.fib_prefixes, reps)
+            indexes = _prefix_indexes(device_delta.structural_prefixes, reps)
             if device_delta.links_changed:
-                indexes |= self._interface_force_indexes(
+                force = self._interface_force_indexes(
                     device_delta, target, reps
                 )
-                # Unchanged entries still routing into a moved interface
-                # (stale next hops the IGP did not reprogram).
-                moved = set(device_delta.changed_interfaces)
-                stale = [
-                    prefix
-                    for prefix, entry in self.dataplane.devices[
-                        name
-                    ].trie.items()
-                    if any(hop.interface in moved for hop in entry.hops)
-                ]
-                indexes |= _prefix_indexes(stale, reps)
+                structural |= force
+                indexes |= force
+            if not indexes:
+                continue
+            before = decisions[name]
+            column = columns[name] = list(before)
+            trie = target.devices[name].trie
+            todo = pending.setdefault(name, set())
             for index in indexes:
-                candidates.setdefault(index, []).append(name)
-        dirty_set: set[int] = {
-            bisect_right(reps, address) - 1 for address in degraded_flips
-        }
-        for index, names in candidates.items():
-            if index in dirty_set:
-                continue
-            rep = reps[index]
-            if rep in self.dataplane.degraded_owned:
-                # Degraded on both sides (flips were handled above):
-                # the verdict is UNKNOWN_DEGRADED either way, so the
-                # base table carries over no matter what the FIB says.
-                continue
-            for name in names:
-                before = self.dataplane.devices[name].compiled_index().probe(
-                    rep
-                )
-                match = target.devices[name].trie.longest_match(rep)
-                after = match[1] if match is not None else None
-                if links_changed[name]:
-                    if self._resolve_node(
-                        name, before, rep
-                    ) != derived._resolve_node(name, after, rep):
-                        dirty_set.add(index)
-                        break
-                elif before is not after and before != after:
-                    dirty_set.add(index)
-                    break
-        if atoms and len(dirty_set) / len(atoms) > DELTA_THRESHOLD:
+                match = trie.longest_match(reps[index])
+                entry = match[1] if match is not None else None
+                old = before[index]
+                if entry is old or entry == old:
+                    continue
+                column[index] = entry
+                todo.add(index)
+                if (
+                    entry is None
+                    or old is None
+                    or entry.prefix != old.prefix
+                    or entry.entry_type != old.entry_type
+                ):
+                    structural.add(index)
+        if atoms and len(structural) / len(atoms) > DELTA_THRESHOLD:
             raise DeltaUnapplicable("dirty-fraction")
 
-        # (c) Patch: rebuild dirty atoms (graph assembly + SCC run),
-        # adopt base tables for clean ones. Touched devices' entries at
-        # dirty reps come from direct trie probes — never a compiled-
-        # index rebuild, whose cost is what this whole path avoids;
-        # untouched devices probe their resident shared index.
-        sparse: dict[str, dict[int, object]] = {name: {} for name in touched}
-        for index in dirty_set:
-            rep = reps[index]
-            for name in touched:
-                match = target.devices[name].trie.longest_match(rep)
-                sparse[name][index] = match[1] if match is not None else None
+        # (c) Group rewrites: the atoms each rewritten prefix governs
+        # take its target entry (a probed structural atom keeps what the
+        # probe found). Then, on re-resolved devices, every atom whose
+        # entry leaves through a moved interface or flipped gateway.
+        rewrites = 0
+        for name in sorted(touched_set | reresolve):
+            device_delta = delta.device_deltas.get(name)
+            groups = device_delta.rewrites if device_delta is not None else ()
+            if not groups and name not in reresolve:
+                continue
+            rewrites += len(groups)
+            before = decisions[name]
+            column = columns[name]
+            if column is before:
+                column = columns[name] = list(before)
+            todo = pending.setdefault(name, set())
+            for group in groups:
+                for entry in group.entries:
+                    prefix = entry.prefix
+                    for index in range(
+                        bisect_left(reps, prefix.first),
+                        bisect_right(reps, prefix.last),
+                    ):
+                        old = before[index]
+                        if (
+                            old is not None
+                            and column[index] is old
+                            and old.prefix == prefix
+                        ):
+                            column[index] = entry
+                            todo.add(index)
+            if name in reresolve:
+                ifaces = moved.get(name, frozenset())
+                through: dict[int, bool] = {}
+                for index, entry in enumerate(column):
+                    if entry is None or not entry.hops:
+                        continue
+                    hit = through.get(id(entry.hops))
+                    if hit is None:
+                        hit = through[id(entry.hops)] = any(
+                            hop.interface in ifaces or hop.gateway in flips
+                            for hop in entry.hops
+                        )
+                    if hit:
+                        todo.add(index)
+
+        # (d) Resolve the new structs: once per next-hop group where the
+        # struct does not depend on the representative address.
+        position = {name: slot for slot, name in enumerate(self._names)}
+        patches: dict[int, dict[int, tuple]] = {}
+        for name, todo in pending.items():
+            slot = position[name]
+            column = columns[name]
+            node_cache = derived._node_cache.setdefault(name, {})
+            group_structs: dict[int, tuple] = {}
+            per_atom: set[int] = set()
+            for index in todo:
+                key = keys[index]
+                if key is None:
+                    continue  # degraded: rebuilt below or UNKNOWN either way
+                entry = column[index]
+                if entry is not None and entry.entry_type == "forward":
+                    group = id(entry.hops)
+                    struct = group_structs.get(group)
+                    if struct is None:
+                        struct = derived._resolve_node(name, entry, reps[index])
+                        if group not in per_atom:
+                            if entry in node_cache:
+                                group_structs[group] = struct
+                            else:
+                                per_atom.add(group)
+                else:
+                    struct = derived._resolve_node(name, entry, reps[index])
+                if struct != key[slot]:
+                    patches.setdefault(index, {})[slot] = struct
+
+        # (e) Patch: a changed vector shares an existing table or runs
+        # one graph evaluation; every other atom adopts its base table.
+        tables = derived._tables
+        derived_keys: list = []
+        builds = shared = 0
         for index, base_index in enumerate(base_of):
-            if index in dirty_set:
-                derived._build_atom(index, sparse)
+            if index in rebuild:
+                derived._build_atom(index, columns)
+                continue
+            key = keys[index]
+            patch = patches.get(index)
+            if patch is None:
+                tables[index] = self._tables[base_index]
+                derived_keys.append(key)
+                continue
+            vector = list(key)
+            for slot, struct in patch.items():
+                vector[slot] = struct
+            key = tuple(vector)
+            table = derived._shared.get(key)
+            if table is None:
+                table = derived._shared[key] = derived._evaluate_graph(
+                    dict(zip(self._names, key))
+                )
+                builds += 1
             else:
-                derived._tables[index] = self._tables[base_index]
+                shared += 1
+            tables[index] = table
+            derived_keys.append(key)
+        if bus.ACTIVE.enabled:
+            if builds:
+                bus.ACTIVE.count("verify.graph_builds", builds)
+            if shared:
+                bus.ACTIVE.count("verify.graph_shared", shared)
         derived._complete = True
+        derived._decisions = columns
+        # A rebuilt atom's vector is recovered from ``_shared`` on the
+        # next derivation, should there be one.
+        derived._keys = None if rebuild else derived_keys
+        dirty = len(rebuild | patches.keys())
         derived.delta_stats = DeltaStats(
             base_fingerprint=self.dataplane.fib_fingerprint(),
-            dirty_atoms=len(dirty_set),
+            dirty_atoms=dirty,
+            structural_atoms=len(structural),
+            rewrites=rewrites,
             total_atoms=len(atoms),
-            reused_tables=len(atoms) - len(dirty_set),
+            reused_tables=len(atoms) - dirty,
             reused_indexes=reused_indexes,
             rebuilt_indexes=len(touched),
             touched_devices=tuple(touched),
             apply_seconds=time.perf_counter() - start,
         )
         return derived
+
+    def _refined_partition(
+        self, delta: "DataplaneDelta"
+    ) -> tuple[list[int], list[IntervalSet], list[int]]:
+        """This engine's atoms cut at every boundary ``delta`` moves:
+        the derived reps and atoms, and the base atom containing each.
+
+        One merge walk over the base atoms: unsplit atoms (the
+        overwhelming majority) are reused as objects.
+        """
+        base_reps = set(self._reps)
+        extra: set[int] = set()
+        for prefix in delta.boundary_prefixes():
+            for cut in (prefix.first, prefix.last + 1):
+                if cut <= MAX_IPV4 and cut not in base_reps:
+                    extra.add(cut)
+        if not extra:
+            identity = list(range(len(self.atoms)))
+            return list(self._reps), list(self.atoms), identity
+        extra_cuts = sorted(extra)
+        reps: list[int] = []
+        atoms: list[IntervalSet] = []
+        base_of: list[int] = []
+        k = 0
+        base_uppers = self._reps[1:] + [MAX_IPV4 + 1]
+        for base_index, (lo, hi) in enumerate(zip(self._reps, base_uppers)):
+            if k < len(extra_cuts) and extra_cuts[k] < hi:
+                bounds = [lo]
+                while k < len(extra_cuts) and extra_cuts[k] < hi:
+                    bounds.append(extra_cuts[k])
+                    k += 1
+                bounds.append(hi)
+                for piece_lo, piece_hi in zip(bounds, bounds[1:]):
+                    reps.append(piece_lo)
+                    atoms.append(IntervalSet.span(piece_lo, piece_hi - 1))
+                    base_of.append(base_index)
+            else:
+                reps.append(lo)
+                atoms.append(self.atoms[base_index])
+                base_of.append(base_index)
+        return reps, atoms, base_of
+
+    def _decision_lists(self) -> dict[str, list]:
+        """Per device, the FIB entry governing each atom.
+
+        A derived engine inherits its lineage's; a cold one sweeps its
+        compiled indexes once, on its first derivation.
+        """
+        if self._decisions is None:
+            self._decisions = self._sweep_decisions()
+        return self._decisions
+
+    def _atom_keys(self) -> list:
+        """Per atom, the decision vector its table is shared under
+        (None for a degraded atom, whose table is not shared)."""
+        if self._keys is None:
+            key_of = {
+                id(table): key for key, table in list(self._shared.items())
+            }
+            self._keys = [
+                key_of.get(id(self._tables[index]))
+                for index in range(len(self.atoms))
+            ]
+        return self._keys
 
     def _interface_force_indexes(
         self, device_delta, target: Dataplane, reps: list[int]
@@ -489,12 +653,16 @@ class AtomGraphEngine:
 
     # -- construction -------------------------------------------------------
 
-    def _ensure_all(self) -> None:
+    def _ensure_all(
+        self, decisions: Optional[dict[str, list]] = None
+    ) -> None:
         """Resolve every (device, atom) decision in one sweep per device
-        and assemble/evaluate each atom's graph."""
+        (unless the caller already swept) and assemble/evaluate each
+        atom's graph."""
         if self._complete:
             return
-        decisions = self._sweep_decisions()
+        if decisions is None:
+            decisions = self._sweep_decisions()
         for index in range(len(self.atoms)):
             if index not in self._tables:
                 self._build_atom(index, decisions)
@@ -790,9 +958,16 @@ def _register_engine(key: tuple, engine: AtomGraphEngine) -> AtomGraphEngine:
 
 
 def _derive_engine(
-    dataplane: Dataplane, base: AtomGraphEngine, key: tuple
+    dataplane: Dataplane,
+    base: AtomGraphEngine,
+    key: tuple,
+    delta: Optional["DataplaneDelta"] = None,
 ) -> tuple[Optional[AtomGraphEngine], Optional[str]]:
     """Attempt the delta path; returns (engine, fallback_reason).
+
+    ``delta`` is used when it runs from ``base``'s own dataplane to
+    ``dataplane`` (a checkpoint stream's recorded step); otherwise the
+    two are diffed here.
 
     Runs *outside* the per-key build lock on purpose: a delta apply is
     cheap, and serializing it behind an in-flight cold build for the
@@ -805,7 +980,12 @@ def _derive_engine(
     registry = bus.metrics_registry()
     start = time.perf_counter()
     try:
-        delta = DataplaneDelta(base.dataplane, dataplane)
+        if (
+            delta is None
+            or delta.base is not base.dataplane
+            or delta.target is not dataplane
+        ):
+            delta = DataplaneDelta(base.dataplane, dataplane)
         engine = base.apply_delta(delta)
     except DeltaUnapplicable as exc:
         # The aggregate counter and the by-reason series get distinct
@@ -864,7 +1044,8 @@ def engine_for(
     patching only the atoms the FIB churn dirtied — and only falls back
     to a cold build when the delta is structurally unapplicable or
     exceeds :data:`DELTA_THRESHOLD` (the fallback engine carries the
-    reason in its ``delta_stats``). Lineage only composes with the
+    reason in its ``delta_stats``). A base that already forwards like
+    ``dataplane`` is the engine itself. Lineage only composes with the
     default partition (``atoms is None``).
 
     Thread-safe: concurrent cold builds for one forwarding state
@@ -872,19 +1053,45 @@ def engine_for(
     build for the same key resolves first-registration-wins, so every
     caller still receives one shared engine object per key.
     """
+    return _lookup(dataplane, atoms, base)[0]
+
+
+def advance_engine(
+    base: AtomGraphEngine,
+    dataplane: Dataplane,
+    delta: Optional["DataplaneDelta"] = None,
+) -> tuple[AtomGraphEngine, Optional[str]]:
+    """``engine_for(dataplane, base=base)``, plus the reason this call
+    fell back to a cold build (None when the engine was cached, is
+    ``base`` itself, or was derived).
+
+    ``delta`` may carry an already-recorded diff from ``base``'s
+    dataplane to ``dataplane``; it is ignored when it does not chain.
+    A temporal stream advances one lineage through its checkpoints
+    this way, counting each fallback as it happens.
+    """
+    return _lookup(dataplane, None, base, delta)
+
+
+def _lookup(
+    dataplane: Dataplane,
+    atoms: Optional[Sequence[IntervalSet]],
+    base: Optional[AtomGraphEngine],
+    delta: Optional["DataplaneDelta"] = None,
+) -> tuple[AtomGraphEngine, Optional[str]]:
     key = (dataplane.fib_fingerprint(), _atoms_signature(atoms))
     engine = _cached_engine(key)
     if engine is not None:
-        return engine
+        return engine, None
     fallback_reason: Optional[str] = None
-    if (
-        base is not None
-        and atoms is None
-        and base.dataplane.fib_fingerprint() != key[0]
-    ):
-        engine, fallback_reason = _derive_engine(dataplane, base, key)
+    if base is not None and atoms is None:
+        if base.dataplane.fib_fingerprint() == key[0]:
+            # Evicted from the LRU (or never registered) but resident
+            # in the caller's lineage: the base *is* this engine.
+            return _register_engine(key, base), None
+        engine, fallback_reason = _derive_engine(dataplane, base, key, delta)
         if engine is not None:
-            return engine
+            return engine, None
     with _CACHE_LOCK:
         build = _BUILDS.get(key)
         if build is None:
@@ -893,7 +1100,7 @@ def engine_for(
         # A racing thread may have finished this build while we waited.
         engine = _cached_engine(key)
         if engine is not None:
-            return engine
+            return engine, fallback_reason
         if bus.ACTIVE.enabled:
             bus.ACTIVE.count("verify.engine_cache_misses")
         collector = bus.ACTIVE
@@ -930,7 +1137,7 @@ def engine_for(
                 priority=context.priority if context is not None else "none",
             )
         engine = _register_engine(key, engine)
-    return engine
+    return engine, fallback_reason
 
 
 def clear_engine_cache() -> None:

@@ -278,15 +278,19 @@ def detect_degraded(dataplane: Dataplane) -> list[ReachabilityRow]:
     return Probe(dataplane).degraded()
 
 
-def verification_summary(dataplane: Dataplane) -> dict[str, int]:
+def verification_summary(
+    dataplane: Dataplane, probe: Optional[Probe] = None
+) -> dict[str, int]:
     """The standard invariant battery as counts (pipeline verify phase).
 
     One probe serves every check, so the battery is a single set of
-    per-atom graph passes and one row merge. The ``degraded`` count
+    per-atom graph passes and one row merge; a caller that already
+    holds ``dataplane``'s probe passes it. The ``degraded`` count
     appears only for partial snapshots, keeping fault-free summaries
     byte-identical to earlier releases.
     """
-    probe = Probe(dataplane)
+    if probe is None:
+        probe = Probe(dataplane)
     summary = {
         "loops": len(_keys(Loop(), probe)),
         "blackholes": len(_keys(Blackhole(), probe)),

@@ -346,7 +346,11 @@ class WhatIfCampaign:
                         if self.temporal is True
                         else list(self.temporal)
                     )
-                    temporal_report = evaluate_stream(stream, invariants)
+                    # One lineage from the baseline's engine: the
+                    # stream's final engine stays cached for verify.
+                    temporal_report = evaluate_stream(
+                        stream, invariants, base=diff.reference_engine
+                    )
             with phase(f"{prefix}:extract", kernel, phases):
                 live = sorted(
                     set(deployment.routers) - deployment.failed_nodes()

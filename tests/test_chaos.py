@@ -337,6 +337,35 @@ class TestDegradedGateway:
         )
         assert report.stability == 1.0
 
+    def test_one_probe_per_record(self, monkeypatch):
+        """The stability rows, the degraded fraction and the first
+        seed's two summaries share each record's probe: two probes, and
+        one pass of sample walks each (three probes per faulted
+        snapshot walked 24 times)."""
+        built = []
+        original = Probe.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Probe, "__init__", counting)
+        with tracing() as tracer:
+            report = run_chaos(
+                fig3_scenario().topology,
+                self.PLAN,
+                timers=FAST_TIMERS,
+                quiet_period=5.0,
+            )
+        assert len(built) == 2
+        assert tracer.counters["verify.scalar_walks"] < 18
+        assert report.chaos_verification == {
+            "loops": 0,
+            "blackholes": 0,
+            "unreachable_pairs": 2,
+            "degraded": 2,
+        }
+
 
 class TestDeterminism:
     """Same (plan, topology, seed) -> byte-identical replay."""

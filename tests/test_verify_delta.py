@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import random
 import threading
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend
@@ -308,7 +311,7 @@ class TestFallbackReasons:
         assert err.value.reason == "base-mismatch"
 
     def test_dirty_fraction_threshold(self, monkeypatch):
-        assert engine_mod.DELTA_THRESHOLD == 0.35
+        assert engine_mod.DELTA_THRESHOLD == 0.5
         base = Dataplane.from_afts(_chain_afts())
         target = Dataplane.from_afts(_chain_afts(b_routes_c=False))
         monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 0.001)
@@ -544,5 +547,291 @@ class TestDeltaStatsCli:
         assert code in (0, 2)
         assert "delta stats:" in out
         assert "dirty atoms:" in out
+        assert "group rewrites:" in out
         assert "reused" in out
         clear_engine_cache()
+
+
+# -- generated networks: group rewrites mixed with structural churn ---------
+
+_DESTINATIONS = (
+    "0.0.0.0/0",
+    "20.0.0.0/8",
+    "20.1.0.0/16",
+    "20.1.2.0/24",
+    "20.1.2.128/25",
+    "30.0.0.0/8",
+    "1.1.1.99/32",
+)
+#: A loopback no device extracts: degraded-ownership flips toggle it and
+#: each device's stub gateway.
+_GHOST_LOOPBACK = "1.1.1.99"
+
+
+class _Net:
+    """A small mutable network model that renders to AFT snapshots.
+
+    Devices ``d0..dN`` with loopbacks ``1.1.1.i``; point-to-point /31
+    links as every shipped corpus uses (both addresses are then /32
+    atom boundaries); per device a stub /31 toward an unextracted
+    neighbour whose address can be claimed degraded. Each device's FIB
+    maps prefixes to ``("forward", group)``, ``("discard",)`` or
+    ``("receive",)``; a group is a tuple of ``(interface, gateway)``
+    hops shared by every prefix that names it, so editing one group
+    rewrites all of them at once.
+    """
+
+    def __init__(self, n, links, acl_on_d0):
+        self.names = [f"d{i}" for i in range(n)]
+        self.links = links
+        self.acl_on_d0 = acl_on_d0
+        self.disabled: set[tuple[str, str]] = set()
+        self.degraded: set[str] = set()
+        self.fib = {name: {} for name in self.names}
+        self.groups = {name: {} for name in self.names}
+        for i, name in enumerate(self.names):
+            self.fib[name][f"1.1.1.{i}/32"] = ("receive",)
+            self.fib[name][f"10.9.{i}.0/32"] = ("receive",)
+            self.groups[name][0] = (("stub", None),)
+            self.fib[name][f"10.9.{i}.0/31"] = ("forward", 0)
+        for j, (a, z) in enumerate(links):
+            for side, name in enumerate((a, z)):
+                self.fib[name][f"10.0.{j}.{side}/32"] = ("receive",)
+                gid = len(self.groups[name])
+                self.groups[name][gid] = ((f"eth{j}", None),)
+                self.fib[name][f"10.0.{j}.0/31"] = ("forward", gid)
+
+    def hop_choices(self, name):
+        """Every (interface, gateway) a hop of ``name`` may use."""
+        i = self.names.index(name)
+        out = [("stub", f"10.9.{i}.1"), ("stub", None)]
+        for j, (a, z) in enumerate(self.links):
+            if name == a:
+                out.append((f"eth{j}", f"10.0.{j}.1"))
+            elif name == z:
+                out.append((f"eth{j}", f"10.0.{j}.0"))
+        return out
+
+    def interfaces(self, name):
+        i = self.names.index(name)
+        out = [("lo", f"1.1.1.{i}", 32), ("stub", f"10.9.{i}.0", 31)]
+        for j, (a, z) in enumerate(self.links):
+            if name in (a, z):
+                out.append((f"eth{j}", f"10.0.{j}.{0 if name == a else 1}", 31))
+        return out
+
+    def copy(self):
+        other = _Net.__new__(_Net)
+        other.names = self.names
+        other.links = self.links
+        other.acl_on_d0 = self.acl_on_d0
+        other.disabled = set(self.disabled)
+        other.degraded = set(self.degraded)
+        other.fib = {name: dict(fib) for name, fib in self.fib.items()}
+        other.groups = {name: dict(g) for name, g in self.groups.items()}
+        return other
+
+    def dataplane(self):
+        snapshots = {}
+        for name in self.names:
+            snap = AftSnapshot(device=name)
+            for iface, address, length in self.interfaces(name):
+                acl = (
+                    "GUARD"
+                    if self.acl_on_d0 and name == "d0" and iface == "stub"
+                    else None
+                )
+                snap.interfaces.append(
+                    AftInterface(
+                        name=iface,
+                        ipv4_address=address,
+                        prefix_length=length,
+                        enabled=(name, iface) not in self.disabled,
+                        acl_in=acl,
+                    )
+                )
+            if self.acl_on_d0 and name == "d0":
+                snap.acls = {
+                    "GUARD": (
+                        AclRule(
+                            seq=10, permit=False,
+                            src=Prefix.parse("9.9.9.0/24"),
+                        ),
+                        AclRule(seq=20, permit=True),
+                    )
+                }
+            hop_index: dict[tuple, int] = {}
+            for gid, hops in self.groups[name].items():
+                indices = []
+                for iface, gateway in hops:
+                    index = hop_index.setdefault(
+                        (iface, gateway), len(hop_index) + 1
+                    )
+                    snap.next_hops[index] = AftNextHop(
+                        index=index, interface=iface, ip_address=gateway
+                    )
+                    indices.append(index)
+                snap.next_hop_groups[gid] = AftNextHopGroup(
+                    group_id=gid, next_hop_indices=tuple(indices)
+                )
+            for prefix, action in sorted(self.fib[name].items()):
+                snap.entries.append(
+                    AftIpv4Entry(
+                        prefix=prefix,
+                        entry_type=action[0],
+                        next_hop_group=(
+                            action[1] if action[0] == "forward" else None
+                        ),
+                    )
+                )
+            snapshots[name] = snap
+        return Dataplane.from_afts(
+            snapshots,
+            degraded_nodes={"ghost": "unreachable"} if self.degraded else None,
+            degraded_addresses=(
+                {"ghost": sorted(self.degraded)} if self.degraded else None
+            ),
+        )
+
+
+@st.composite
+def _group(draw, net, name):
+    choices = net.hop_choices(name)
+    return tuple(
+        draw(
+            st.lists(
+                st.sampled_from(choices), min_size=1, max_size=3, unique=True
+            )
+        )
+    )
+
+
+@st.composite
+def _base_net(draw):
+    n = draw(st.integers(min_value=3, max_value=5))
+    pairs = [(f"d{a}", f"d{b}") for a in range(n) for b in range(a + 1, n)]
+    links = draw(
+        st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=n + 1,
+                 unique=True)
+    )
+    net = _Net(n, links, acl_on_d0=draw(st.booleans()))
+    for name in net.names:
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            gid = len(net.groups[name])
+            net.groups[name][gid] = draw(_group(net, name))
+        routed = draw(
+            st.lists(st.sampled_from(_DESTINATIONS), max_size=6, unique=True)
+        )
+        for prefix in routed:
+            if draw(st.integers(min_value=0, max_value=5)) == 0:
+                net.fib[name][prefix] = ("discard",)
+            else:
+                gid = draw(st.sampled_from(sorted(net.groups[name])))
+                net.fib[name][prefix] = ("forward", gid)
+    return net
+
+
+@st.composite
+def _churn(draw, net):
+    """One step of churn: mostly group rewrites, plus structural ops."""
+    net = net.copy()
+    ops = draw(
+        st.lists(
+            st.sampled_from(
+                ("rewrite", "rewrite", "regroup", "add", "remove",
+                 "retype", "link", "degrade")
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    for op in ops:
+        name = draw(st.sampled_from(net.names))
+        fib = net.fib[name]
+        if op == "rewrite":
+            gid = draw(st.sampled_from(sorted(net.groups[name])))
+            net.groups[name][gid] = draw(_group(net, name))
+        elif op == "regroup":
+            forwards = sorted(p for p, a in fib.items() if a[0] == "forward")
+            prefix = draw(st.sampled_from(forwards))
+            if draw(st.booleans()):
+                gid = len(net.groups[name])
+                net.groups[name][gid] = draw(_group(net, name))
+            else:
+                gid = draw(st.sampled_from(sorted(net.groups[name])))
+            fib[prefix] = ("forward", gid)
+        elif op == "add":
+            prefix = draw(st.sampled_from(_DESTINATIONS))
+            gid = draw(st.sampled_from(sorted(net.groups[name])))
+            fib[prefix] = ("forward", gid)
+        elif op == "remove":
+            prefix = draw(st.sampled_from(sorted(fib)))
+            del fib[prefix]
+        elif op == "retype":
+            prefix = draw(st.sampled_from(sorted(fib)))
+            if fib[prefix][0] == "forward":
+                fib[prefix] = ("discard",)
+            else:
+                gid = draw(st.sampled_from(sorted(net.groups[name])))
+                fib[prefix] = ("forward", gid)
+        elif op == "link":
+            iface = draw(
+                st.sampled_from([i for i, _a, _l in net.interfaces(name)])
+            )
+            net.disabled ^= {(name, iface)}
+        else:
+            i = net.names.index(name)
+            address = draw(
+                st.sampled_from((f"10.9.{i}.1", _GHOST_LOOPBACK))
+            )
+            net.degraded ^= {address}
+    return net
+
+
+class TestGeneratedGroupRewrites:
+    """Random next-hop-group rewrites mixed with structural changes
+    (prefix add/remove, entry-type flips, interface moves, degraded
+    flips), over ECMP groups, directly attached hops, stale next hops
+    and an optional ACL: each derived engine — the second one derived
+    from the first — equals a cold build verdict for verdict, taint
+    and UNKNOWN_DEGRADED included."""
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_derived_equals_cold(self, data):
+        base = data.draw(_base_net())
+        first = data.draw(_churn(base))
+        second = data.draw(_churn(first))
+        with patch.object(engine_mod, "DELTA_THRESHOLD", 1.0):
+            engine = AtomGraphEngine(base.dataplane())
+            for step in (first, second):
+                engine = assert_delta_matches_cold(engine, step.dataplane())
+
+
+class TestBaselineDiffPinnedReference:
+    def test_compare_after_cache_clear_builds_nothing_cold(self):
+        """The campaign's reference engine is pinned on the
+        ``BaselineDiff``: after the engine cache lost it, the next
+        comparison still derives from it instead of rebuilding the
+        baseline cold."""
+        from repro.verify.differential import BaselineDiff
+
+        net = _Net(3, [("d0", "d1"), ("d1", "d2")], acl_on_d0=False)
+        net.groups["d0"][9] = (("eth0", "10.0.0.1"),)
+        for prefix in ("20.0.0.0/8", "30.0.0.0/8"):
+            net.fib["d0"][prefix] = ("forward", 9)
+        rerouted = net.copy()
+        rerouted.groups["d0"][9] = (("stub", "10.9.0.1"),)
+        discarded = net.copy()
+        discarded.fib["d0"]["30.0.0.0/8"] = ("discard",)
+        clear_engine_cache()
+        diff = BaselineDiff(net.dataplane())
+        diff.compare(rerouted.dataplane())
+        clear_engine_cache()
+        with tracing() as tracer:
+            comparison = diff.compare(discarded.dataplane())
+        clear_engine_cache()
+        assert tracer.counters.get("verify.engine_builds", 0) == 0
+        assert tracer.counters["verify.delta_applies"] == 1
+        assert diff.last_delta_stats.fallback is None
+        assert comparison.changed > 0

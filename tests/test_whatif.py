@@ -258,6 +258,54 @@ class TestExtractionWork:
         assert len(seen) > distinct
 
 
+class TestVerificationWork:
+    def test_one_engine_lineage_per_campaign(self, fig2, monkeypatch):
+        """The warm path's verification work budget: the baseline's is
+        the campaign's only cold engine build. Every checkpoint engine
+        and every scenario engine derives from it through the engine
+        cache, and no temporal step falls back. Engines are counted at
+        construction, so a build that skips the trace counters (as
+        derived engines do) still shows."""
+        from repro.obs import tracing
+        from repro.verify.engine import AtomGraphEngine, clear_engine_cache
+
+        constructed = []
+        original_init = AtomGraphEngine.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(self)
+            original_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AtomGraphEngine, "__init__", counting_init)
+        topology = fig2.topology
+        scenarios = [
+            *list(single_link_failures(topology))[:2],
+            next(iter(link_flap_scenarios(topology, hold_seconds=10.0))),
+        ]
+        clear_engine_cache()
+        with tracing() as tracer:
+            report = WhatIfCampaign(
+                topology,
+                scenarios,
+                timers=FAST_TIMERS,
+                quiet_period=5.0,
+                temporal=True,
+            ).run()
+        clear_engine_cache()
+        assert report.cold_resets == 0
+        checkpoints = sum(v.temporal_checkpoints for v in report.verdicts)
+        assert checkpoints > len(scenarios)
+        assert tracer.counters.get("verify.temporal_fallbacks", 0) == 0
+        assert tracer.counters.get("verify.delta_fallbacks", 0) == 0
+        # Each state after a checkpoint 0 is derived once or found in
+        # the cache (a flap's down state, a reverted baseline).
+        assert 0 < tracer.counters["verify.delta_applies"] <= (
+            checkpoints - len(scenarios)
+        )
+        assert tracer.counters["verify.engine_builds"] == 1
+        assert len(constructed) == 1 + tracer.counters["verify.delta_applies"]
+
+
 class TestNodeCampaign:
     def test_node_kill_surfaces_damage_and_reverts(self):
         topology = build_ring()
