@@ -46,9 +46,9 @@ processes, each on its own deployment.
 chosen backend to convergence, reports reachability health, and can
 persist the extracted snapshot for later offline queries.
 ``--delta-stats`` (on ``verify`` and ``diff``) prints how the engine
-came to exist: dirty- and structural-atom counts, group rewrites and
-reused-vs-rebuilt device indexes for an incremental derivation, or the
-fallback reason for a cold build.
+came to exist: dirty- and structural-atom counts, group rewrites,
+reused device indexes and re-probed (touched) devices for an
+incremental derivation, or the fallback reason for a cold build.
 
 ``temporal`` verifies the network *during* convergence: it converges a
 baseline, flaps one link while recording a checkpoint stream of FIB
@@ -139,7 +139,7 @@ def _print_delta_stats(engine) -> None:
     print(f"  reused verdict tables: {stats.reused_tables}")
     print(
         f"  device indexes: {stats.reused_indexes} reused, "
-        f"{stats.rebuilt_indexes} rebuilt "
+        f"{len(stats.touched_devices)} re-probed "
         f"({', '.join(stats.touched_devices) or 'none touched'})"
     )
     print(f"  apply time: {stats.apply_seconds * 1e3:.1f} ms")

@@ -67,10 +67,11 @@ class Snapshot:
     def from_dict(cls, data: dict) -> "Snapshot":
         degraded = data.get("degraded_nodes", {})
         target = PartialSnapshot if degraded else cls
+        prefixes: dict = {}  # one decode pass: each prefix parsed once
         return target(
             name=data["name"],
             afts={
-                name: AftSnapshot.from_dict(raw)
+                name: AftSnapshot.from_dict(raw, prefixes)
                 for name, raw in data["afts"].items()
             },
             backend=data.get("backend", "emulation"),

@@ -12,7 +12,7 @@ from repro.net.trie import PrefixTrie
 from repro.obs import bus
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedHop:
     """One forwarding alternative of a FIB entry."""
 
@@ -20,7 +20,7 @@ class ResolvedHop:
     gateway: Optional[int]  # next-hop IP (None = directly attached)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ForwardingEntry:
     """One device FIB entry as the verifier sees it."""
     prefix: Prefix
@@ -91,7 +91,7 @@ class DeviceForwarding:
                 self.local_addresses.add(address)
         # One hop tuple per next-hop group, shared by its entries.
         groups: dict[int, tuple[ResolvedHop, ...]] = {}
-        for prefix, entry in snapshot.forward_entries():
+        for entry in snapshot.entries:
             hops: tuple[ResolvedHop, ...] = ()
             if entry.entry_type == "forward" and entry.next_hop_group is not None:
                 hops = groups.get(entry.next_hop_group)  # type: ignore[assignment]
@@ -100,10 +100,8 @@ class DeviceForwarding:
                         snapshot, entry.next_hop_group
                     )
             self.trie.insert(
-                prefix,
-                ForwardingEntry(
-                    prefix=prefix, entry_type=entry.entry_type, hops=hops
-                ),
+                entry.prefix,
+                ForwardingEntry(entry.prefix, entry.entry_type, hops),
             )
 
     @classmethod

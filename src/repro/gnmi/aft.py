@@ -13,7 +13,7 @@ paper's clean extraction boundary.
 A snapshot is immutable once extracted. Extraction relies on it: an
 unchanged router hands back the *same* snapshot object
 (:class:`AftMemo`), and :class:`~repro.dataplane.model.DeviceForwarding`
-caches its parsed form on that object.
+caches the table it builds on that object.
 """
 
 from __future__ import annotations
@@ -45,10 +45,16 @@ class AftNextHopGroup:
     next_hop_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AftIpv4Entry:
-    """One ipv4-unicast AFT entry."""
-    prefix: str
+    """One ipv4-unicast AFT entry.
+
+    ``prefix`` is the parsed form: the FIB entry's own :class:`Prefix`
+    when extracted, one object per distinct string when decoded. Only
+    the wire form (:meth:`AftSnapshot.network_instances_to_dict`) is a
+    string.
+    """
+    prefix: Prefix
     entry_type: str  # "forward" | "receive" | "discard"
     next_hop_group: Optional[int] = None
 
@@ -311,47 +317,49 @@ class AftSnapshot:
             acls=dict(acls or {}),
             fib_version=getattr(fib, "version", 0),
         )
-        nh_index = 0
-        group_id = 0
         nh_cache: dict[tuple, int] = {}
         group_cache: dict[tuple[int, ...], int] = {}
+
+        def group_of(hops: tuple) -> int:
+            indices = []
+            for hop in hops:
+                key = (hop.interface, hop.ip)
+                if key not in nh_cache:
+                    index = nh_cache[key] = len(nh_cache) + 1
+                    snapshot.next_hops[index] = AftNextHop(
+                        index=index,
+                        interface=hop.interface,
+                        ip_address=(
+                            format_ipv4(hop.ip) if hop.ip is not None else None
+                        ),
+                    )
+                indices.append(nh_cache[key])
+            group_key = tuple(sorted(indices))
+            group_id = group_cache.get(group_key)
+            if group_id is None:
+                group_id = group_cache[group_key] = len(group_cache) + 1
+                snapshot.next_hop_groups[group_id] = AftNextHopGroup(
+                    group_id=group_id, next_hop_indices=group_key
+                )
+            return group_id
+
+        # The RIB interns one hop tuple per next-hop group, so most
+        # entries resolve by the tuple's identity; the tuple is kept
+        # alongside its group so its id cannot be reused mid-walk.
+        by_identity: dict[int, tuple[tuple, int]] = {}
+        entries = snapshot.entries
         for entry in fib.entries():
-            if entry.action is FibAction.FORWARD:
-                indices = []
-                for hop in entry.next_hops:
-                    key = (hop.interface, hop.ip)
-                    if key not in nh_cache:
-                        nh_index += 1
-                        nh_cache[key] = nh_index
-                        snapshot.next_hops[nh_index] = AftNextHop(
-                            index=nh_index,
-                            interface=hop.interface,
-                            ip_address=(
-                                format_ipv4(hop.ip) if hop.ip is not None else None
-                            ),
-                        )
-                    indices.append(nh_cache[key])
-                group_key = tuple(sorted(indices))
-                if group_key not in group_cache:
-                    group_id += 1
-                    group_cache[group_key] = group_id
-                    snapshot.next_hop_groups[group_id] = AftNextHopGroup(
-                        group_id=group_id, next_hop_indices=group_key
-                    )
-                snapshot.entries.append(
-                    AftIpv4Entry(
-                        prefix=str(entry.prefix),
-                        entry_type="forward",
-                        next_hop_group=group_cache[group_key],
-                    )
-                )
+            action = entry.action
+            if action is FibAction.FORWARD:
+                hops = entry.next_hops
+                known = by_identity.get(id(hops))
+                if known is None:
+                    known = by_identity[id(hops)] = (hops, group_of(hops))
+                entries.append(AftIpv4Entry(entry.prefix, "forward", known[1]))
+            elif action is FibAction.RECEIVE:
+                entries.append(AftIpv4Entry(entry.prefix, "receive"))
             else:
-                kind = (
-                    "receive" if entry.action is FibAction.RECEIVE else "discard"
-                )
-                snapshot.entries.append(
-                    AftIpv4Entry(prefix=str(entry.prefix), entry_type=kind)
-                )
+                entries.append(AftIpv4Entry(entry.prefix, "discard"))
         return snapshot
 
     # -- (de)serialization ----------------------------------------------------
@@ -375,7 +383,7 @@ class AftSnapshot:
                         "ipv4-unicast": {
                             "ipv4-entry": [
                                 {
-                                    "prefix": e.prefix,
+                                    "prefix": str(e.prefix),
                                     "state": {
                                         "entry-type": e.entry_type,
                                         "next-hop-group": e.next_hop_group,
@@ -423,7 +431,18 @@ class AftSnapshot:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AftSnapshot":
+    def from_dict(
+        cls, data: dict, prefixes: Optional[dict[str, Prefix]] = None
+    ) -> "AftSnapshot":
+        """Decode the OpenConfig-shaped form of :meth:`to_dict`.
+
+        ``prefixes`` maps each prefix string already parsed in the
+        caller's decode pass to its :class:`Prefix`; it is filled as
+        entries are read, so a pass over many devices parses each
+        distinct string once and their entries share the object.
+        """
+        if prefixes is None:
+            prefixes = {}
         meta = data.get("meta", {})
         snapshot = cls(
             device=meta.get("device", ""),
@@ -450,9 +469,13 @@ class AftSnapshot:
             )
             snapshot.next_hop_groups[group.group_id] = group
         for raw in afts["ipv4-unicast"]["ipv4-entry"]:
+            text = raw["prefix"]
+            prefix = prefixes.get(text)
+            if prefix is None:
+                prefix = prefixes[text] = Prefix.parse(text)
             snapshot.entries.append(
                 AftIpv4Entry(
-                    prefix=raw["prefix"],
+                    prefix=prefix,
                     entry_type=raw["state"]["entry-type"],
                     next_hop_group=raw["state"]["next-hop-group"],
                 )
@@ -469,7 +492,7 @@ class AftSnapshot:
         ]
 
     def forward_entries(self) -> list[tuple[Prefix, AftIpv4Entry]]:
-        return [(Prefix.parse(e.prefix), e) for e in self.entries]
+        return [(e.prefix, e) for e in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -25,6 +25,7 @@ from repro.gnmi.aft import (
     router_interfaces,
 )
 from repro.gnmi.paths import GnmiPath, parse_path
+from repro.net.addr import Prefix
 from repro.obs import bus
 
 if TYPE_CHECKING:
@@ -102,7 +103,7 @@ class GnmiServer:
         """
         path = self._admit(path)
         if path.starts_with("network-instances"):
-            return self._get_afts(path)[0]
+            return self._serve_afts(self._afts_snapshot(path))[0]
         if path.starts_with("interfaces"):
             return self._get_interfaces(path)
         if path.starts_with("system"):
@@ -131,20 +132,23 @@ class GnmiServer:
             path = parse_path(path)
         return Subscription(self, path, callback)
 
-    def _get_afts(self, path: GnmiPath) -> tuple[dict, Optional[AftSnapshot]]:
-        """The afts response, and the snapshot it encodes.
+    def _afts_snapshot(self, path: GnmiPath) -> AftSnapshot:
+        """The snapshot an afts Get on ``path`` reports (not yet encoded)."""
+        if len(path) >= 2:
+            instance = path.elements[1]
+            if instance.keys and instance.key("name") != "default":
+                raise GnmiError(f"unknown network instance in {path}")
+        return AftSnapshot.from_router(self.router, now=self.router.kernel.now)
+
+    def _serve_afts(
+        self, snapshot: AftSnapshot
+    ) -> tuple[dict, Optional[AftSnapshot]]:
+        """The afts response for ``snapshot``, and the snapshot it encodes.
 
         The snapshot is None when a fault served something else (a
         stale or truncated dump): only an untouched response may stand
         in for its source in :func:`_extract_one`.
         """
-        if len(path) >= 2:
-            instance = path.elements[1]
-            if instance.keys and instance.key("name") != "default":
-                raise GnmiError(f"unknown network instance in {path}")
-        snapshot = AftSnapshot.from_router(
-            self.router, now=self.router.kernel.now
-        )
         response = served = {
             "network-instances": snapshot.network_instances_to_dict(),
             "meta": snapshot.meta_to_dict(),
@@ -246,7 +250,7 @@ def _configured_addresses(router) -> list[str]:
 _AFTS_PATH = "/network-instances/network-instance[name=default]/afts"
 
 
-def _extract_one(router) -> AftSnapshot:
+def _extract_one(router, prefixes: dict[str, Prefix]) -> AftSnapshot:
     """One device's three Gets, decoded into a snapshot.
 
     A new FIB version always takes the whole wire round trip. When the
@@ -255,12 +259,23 @@ def _extract_one(router) -> AftSnapshot:
     as later responses still encode it unchanged they are not decoded
     again. Callers therefore get one snapshot object per FIB version,
     and one dataplane device built from it.
+
+    Once the memo has round-tripped, the afts response is not even
+    encoded unless a fault hook is attached to transform it: nothing
+    would read it. ``prefixes`` is the caller's decode-pass intern
+    table (:meth:`AftSnapshot.from_dict`).
     """
     server = GnmiServer(router)
-    data, source = server._get_afts(server._admit(_AFTS_PATH))
+    source: Optional[AftSnapshot] = server._afts_snapshot(
+        server._admit(_AFTS_PATH)
+    )
+    memo = router.aft_memo
+    hooked = getattr(router, "fault_injector", None) is not None
+    data = None
+    if hooked or not memo.round_tripped:
+        data, source = server._serve_afts(source)
     interfaces = server.get("/interfaces")["interfaces"]
     acls = server.get("/acls")["acls"]
-    memo = router.aft_memo
     if (
         source is not None
         and memo.round_tripped
@@ -268,8 +283,10 @@ def _extract_one(router) -> AftSnapshot:
         and source.acls == acls_from_dict(acls)
     ):
         return source
+    if data is None:
+        data, source = server._serve_afts(source)
     snapshot = AftSnapshot.from_dict(
-        {**data, "interfaces": interfaces, "acls": acls}
+        {**data, "interfaces": interfaces, "acls": acls}, prefixes
     )
     if snapshot == source:
         memo.round_tripped = True
@@ -318,6 +335,8 @@ def extract_afts(
         names = list(deployment.routers)
 
     report = ExtractionReport()
+    # One decode pass: each distinct prefix string is parsed once.
+    prefixes: dict[str, Prefix] = {}
     collector = bus.ACTIVE
     kernel = deployment.kernel
     for name in names:
@@ -358,7 +377,7 @@ def extract_afts(
                 continue
             started = time.perf_counter() if collector.enabled else 0.0
             try:
-                snapshot = _extract_one(router)
+                snapshot = _extract_one(router, prefixes)
             except GnmiUnavailableError as exc:
                 last_reason = f"unavailable: {exc}"
                 continue

@@ -89,7 +89,7 @@ class IPv4Address:
         return self.value
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Prefix:
     """An IPv4 prefix (network address + mask length).
 

@@ -18,7 +18,7 @@ class FibAction(enum.Enum):
     DISCARD = "discard"  # null route
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibEntry:
     """One resolved forwarding entry."""
     prefix: Prefix

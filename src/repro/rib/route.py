@@ -36,7 +36,7 @@ _ADMIN_DISTANCE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NextHop:
     """An unresolved next hop as installed by a protocol.
 
@@ -60,7 +60,7 @@ class NextHop:
         return f"directly via {self.interface}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolvedNextHop:
     """A fully resolved forwarding action: out interface + gateway IP."""
 
@@ -73,7 +73,7 @@ class ResolvedNextHop:
         return f"{format_ipv4(self.ip)} via {self.interface}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A candidate route offered to the RIB by a protocol engine.
 

@@ -139,9 +139,11 @@ class CheckpointStream:
     def from_dict(cls, data: dict) -> "CheckpointStream":
         stream = cls()
         previous: Optional[Dataplane] = None
+        # One decode pass: each distinct prefix string is parsed once.
+        prefixes: dict = {}
         for index, raw in enumerate(data.get("checkpoints", [])):
             snapshots = {
-                name: AftSnapshot.from_dict(payload)
+                name: AftSnapshot.from_dict(payload, prefixes)
                 for name, payload in raw.get("devices", {}).items()
             }
             if previous is None:

@@ -135,8 +135,10 @@ class DeltaStats:
     rewrites: int = 0
     total_atoms: int = 0
     reused_tables: int = 0
+    #: Untouched devices that adopted their base's compiled LPM index.
     reused_indexes: int = 0
-    rebuilt_indexes: int = 0
+    #: Devices whose entries changed. The delta path probes their
+    #: target tables directly and builds no compiled index for them.
     touched_devices: tuple[str, ...] = ()
     fallback: Optional[str] = None
     apply_seconds: float = 0.0
@@ -559,7 +561,6 @@ class AtomGraphEngine:
             total_atoms=len(atoms),
             reused_tables=len(atoms) - dirty,
             reused_indexes=reused_indexes,
-            rebuilt_indexes=len(touched),
             touched_devices=tuple(touched),
             apply_seconds=time.perf_counter() - start,
         )

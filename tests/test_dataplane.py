@@ -16,7 +16,7 @@ from repro.gnmi.aft import (
     AftNextHopGroup,
     AftSnapshot,
 )
-from repro.net.addr import parse_ipv4
+from repro.net.addr import Prefix, parse_ipv4
 
 
 def snapshot(device, interfaces, forwards, receives=(), discards=()):
@@ -47,13 +47,19 @@ def snapshot(device, interfaces, forwards, receives=(), discards=()):
         )
         snap.entries.append(
             AftIpv4Entry(
-                prefix=prefix, entry_type="forward", next_hop_group=group_id
+                prefix=Prefix.parse(prefix),
+                entry_type="forward",
+                next_hop_group=group_id,
             )
         )
     for prefix in receives:
-        snap.entries.append(AftIpv4Entry(prefix=prefix, entry_type="receive"))
+        snap.entries.append(
+            AftIpv4Entry(prefix=Prefix.parse(prefix), entry_type="receive")
+        )
     for prefix in discards:
-        snap.entries.append(AftIpv4Entry(prefix=prefix, entry_type="discard"))
+        snap.entries.append(
+            AftIpv4Entry(prefix=Prefix.parse(prefix), entry_type="discard")
+        )
     return snap
 
 

@@ -88,7 +88,7 @@ class TestAftSnapshot:
         receives = {
             e.prefix for e in snapshot.entries if e.entry_type == "receive"
         }
-        assert "10.0.0.0/32" in receives
+        assert Prefix.parse("10.0.0.0/32") in receives
 
     def test_forward_entries_reference_valid_groups(self, net):
         snapshot = AftSnapshot.from_router(net.router("r1"))
@@ -395,7 +395,7 @@ class TestExtractionMemo:
         a, b = dump_afts(one)["m1"], dump_afts(two)["m1"]
         assert a is not b
         assert {e.prefix for e in a.entries} ^ {e.prefix for e in b.entries} == {
-            "198.51.100.1/32", "198.51.100.2/32",
+            Prefix.parse("198.51.100.1/32"), Prefix.parse("198.51.100.2/32"),
         }
 
     @pytest.mark.parametrize(

@@ -37,7 +37,7 @@ from repro.gnmi.aft import (
     AftNextHopGroup,
     AftSnapshot,
 )
-from repro.net.addr import format_ipv4, parse_ipv4
+from repro.net.addr import Prefix, format_ipv4, parse_ipv4
 from repro.obs import tracing
 from repro.protocols.timers import FAST_TIMERS
 from repro.temporal import CheckpointRecorder, evaluate_stream
@@ -1017,18 +1017,24 @@ def _dataplane(
             group_id=ecmp, next_hop_indices=tuple(range(1, ecmp))
         )
         own = f"{_loopback(index)}/32"
-        aft.entries = [AftIpv4Entry(prefix=own, entry_type="receive")]
+        aft.entries = [
+            AftIpv4Entry(prefix=Prefix.parse(own), entry_type="receive")
+        ]
         for prefix, choice in zip(net.prefixes(), routes[index]):
             if prefix == own or choice == "none":
                 continue
             if choice == "discard":
                 aft.entries.append(
-                    AftIpv4Entry(prefix=prefix, entry_type="discard")
+                    AftIpv4Entry(
+                        prefix=Prefix.parse(prefix), entry_type="discard"
+                    )
                 )
             else:
                 aft.entries.append(
                     AftIpv4Entry(
-                        prefix=prefix, entry_type="forward", next_hop_group=choice
+                        prefix=Prefix.parse(prefix),
+                        entry_type="forward",
+                        next_hop_group=choice,
                     )
                 )
         afts[name] = aft

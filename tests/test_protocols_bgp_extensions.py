@@ -146,7 +146,9 @@ ip route 99.99.99.0/24 Null0
         net = self.build(4)
         snapshot = AftSnapshot.from_router(net.router("r1"))
         entry = next(
-            e for e in snapshot.entries if e.prefix == "99.99.99.0/24"
+            e
+            for e in snapshot.entries
+            if e.prefix == Prefix.parse("99.99.99.0/24")
         )
         group = snapshot.next_hop_groups[entry.next_hop_group]
         assert len(group.next_hop_indices) == 2

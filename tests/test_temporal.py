@@ -26,6 +26,7 @@ from repro.gnmi.aft import (
     AftNextHopGroup,
     AftSnapshot,
 )
+from repro.net.addr import Prefix
 from repro.obs import ConvergenceTimeline, summary_text, tracing
 from repro.protocols.timers import FAST_TIMERS
 from repro.temporal import (
@@ -177,16 +178,16 @@ def _line_afts(*, a_routes_b=True, b_routes_c=True, with_c=False):
     a.interfaces = [_iface("eth0", "10.0.0.0/31"), _iface("lo", "1.1.1.1/32")]
     a.next_hops[1] = AftNextHop(index=1, interface="eth0", ip_address="10.0.0.1")
     a.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
-    a.entries = [AftIpv4Entry(prefix="1.1.1.1/32", entry_type="receive")]
+    a.entries = [AftIpv4Entry(prefix=Prefix.parse("1.1.1.1/32"), entry_type="receive")]
     if a_routes_b:
         a.entries.append(
             AftIpv4Entry(
-                prefix="2.2.2.2/32", entry_type="forward", next_hop_group=1
+                prefix=Prefix.parse("2.2.2.2/32"), entry_type="forward", next_hop_group=1
             )
         )
     a.entries.append(
         AftIpv4Entry(
-            prefix="3.3.3.3/32", entry_type="forward", next_hop_group=1
+            prefix=Prefix.parse("3.3.3.3/32"), entry_type="forward", next_hop_group=1
         )
     )
 
@@ -198,11 +199,11 @@ def _line_afts(*, a_routes_b=True, b_routes_c=True, with_c=False):
     ]
     b.next_hops[1] = AftNextHop(index=1, interface="eth1", ip_address="10.0.1.1")
     b.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
-    b.entries = [AftIpv4Entry(prefix="2.2.2.2/32", entry_type="receive")]
+    b.entries = [AftIpv4Entry(prefix=Prefix.parse("2.2.2.2/32"), entry_type="receive")]
     if b_routes_c:
         b.entries.append(
             AftIpv4Entry(
-                prefix="3.3.3.3/32", entry_type="forward", next_hop_group=1
+                prefix=Prefix.parse("3.3.3.3/32"), entry_type="forward", next_hop_group=1
             )
         )
 
@@ -213,7 +214,7 @@ def _line_afts(*, a_routes_b=True, b_routes_c=True, with_c=False):
             _iface("eth0", "10.0.1.1/31"),
             _iface("lo", "3.3.3.3/32"),
         ]
-        c.entries = [AftIpv4Entry(prefix="3.3.3.3/32", entry_type="receive")]
+        c.entries = [AftIpv4Entry(prefix=Prefix.parse("3.3.3.3/32"), entry_type="receive")]
         snapshots["c"] = c
     return snapshots
 

@@ -190,12 +190,12 @@ def _chain_afts(b_routes_c=True, with_c=False, b_acl_rules=None):
     a.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
     a.entries = [
         AftIpv4Entry(
-            prefix="3.3.3.3/32", entry_type="forward", next_hop_group=1
+            prefix=Prefix.parse("3.3.3.3/32"), entry_type="forward", next_hop_group=1
         ),
         AftIpv4Entry(
-            prefix="2.2.2.2/32", entry_type="forward", next_hop_group=1
+            prefix=Prefix.parse("2.2.2.2/32"), entry_type="forward", next_hop_group=1
         ),
-        AftIpv4Entry(prefix="1.1.1.1/32", entry_type="receive"),
+        AftIpv4Entry(prefix=Prefix.parse("1.1.1.1/32"), entry_type="receive"),
     ]
 
     b = AftSnapshot(device="b")
@@ -218,11 +218,11 @@ def _chain_afts(b_routes_c=True, with_c=False, b_acl_rules=None):
         index=1, interface="eth1", ip_address="10.0.1.1"
     )
     b.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
-    b.entries = [AftIpv4Entry(prefix="2.2.2.2/32", entry_type="receive")]
+    b.entries = [AftIpv4Entry(prefix=Prefix.parse("2.2.2.2/32"), entry_type="receive")]
     if b_routes_c:
         b.entries.append(
             AftIpv4Entry(
-                prefix="3.3.3.3/32", entry_type="forward", next_hop_group=1
+                prefix=Prefix.parse("3.3.3.3/32"), entry_type="forward", next_hop_group=1
             )
         )
 
@@ -233,7 +233,7 @@ def _chain_afts(b_routes_c=True, with_c=False, b_acl_rules=None):
             _iface("eth0", "10.0.1.1/31"),
             _iface("lo", "3.3.3.3/32"),
         ]
-        c.entries = [AftIpv4Entry(prefix="3.3.3.3/32", entry_type="receive")]
+        c.entries = [AftIpv4Entry(prefix=Prefix.parse("3.3.3.3/32"), entry_type="receive")]
         snapshots["c"] = c
     return snapshots
 
@@ -551,6 +551,30 @@ class TestDeltaStatsCli:
         assert "reused" in out
         clear_engine_cache()
 
+    def test_group_rewrite_builds_no_index(self, capsys):
+        # The delta path probes a touched device's target trie: it must
+        # neither build that device's compiled index nor report one.
+        from repro.cli import _print_delta_stats
+
+        net = _Net(3, [("d0", "d1"), ("d1", "d2")], acl_on_d0=False)
+        net.groups["d0"][3] = (("eth0", "10.0.0.1"),)
+        net.fib["d0"]["20.0.0.0/8"] = ("forward", 3)
+        net.fib["d0"]["30.0.0.0/8"] = ("forward", 3)
+        base = AtomGraphEngine(net.dataplane())
+        rewritten = net.copy()
+        rewritten.groups["d0"][3] = (("stub", "10.9.0.1"),)
+        target = rewritten.dataplane()
+        derived = base.apply_delta(DataplaneDelta(base.dataplane, target))
+        stats = derived.delta_stats
+        assert stats.rewrites == 1 and stats.structural_atoms == 0
+        assert stats.touched_devices == ("d0",)
+        assert stats.reused_indexes == 2
+        assert target.devices["d0"]._compiled is None
+        _print_delta_stats(derived)
+        out = capsys.readouterr().out
+        assert "device indexes: 2 reused, 1 re-probed (d0)" in out
+        assert "rebuilt" not in out
+
 
 # -- generated networks: group rewrites mixed with structural churn ---------
 
@@ -677,7 +701,7 @@ class _Net:
             for prefix, action in sorted(self.fib[name].items()):
                 snap.entries.append(
                     AftIpv4Entry(
-                        prefix=prefix,
+                        prefix=Prefix.parse(prefix),
                         entry_type=action[0],
                         next_hop_group=(
                             action[1] if action[0] == "forward" else None

@@ -149,8 +149,8 @@ def _acl_line_dataplane(permitted_src: str = "1.1.1.1/32") -> Dataplane:
     a.next_hops[1] = AftNextHop(index=1, interface="eth0", ip_address="10.0.0.1")
     a.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
     a.entries = [
-        AftIpv4Entry(prefix="3.3.3.3/32", entry_type="forward", next_hop_group=1),
-        AftIpv4Entry(prefix="1.1.1.1/32", entry_type="receive"),
+        AftIpv4Entry(prefix=Prefix.parse("3.3.3.3/32"), entry_type="forward", next_hop_group=1),
+        AftIpv4Entry(prefix=Prefix.parse("1.1.1.1/32"), entry_type="receive"),
     ]
 
     b = AftSnapshot(device="b")
@@ -168,13 +168,13 @@ def _acl_line_dataplane(permitted_src: str = "1.1.1.1/32") -> Dataplane:
     b.next_hops[1] = AftNextHop(index=1, interface="eth1", ip_address="10.0.1.1")
     b.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
     b.entries = [
-        AftIpv4Entry(prefix="3.3.3.3/32", entry_type="forward", next_hop_group=1),
-        AftIpv4Entry(prefix="2.2.2.2/32", entry_type="receive"),
+        AftIpv4Entry(prefix=Prefix.parse("3.3.3.3/32"), entry_type="forward", next_hop_group=1),
+        AftIpv4Entry(prefix=Prefix.parse("2.2.2.2/32"), entry_type="receive"),
     ]
 
     c = AftSnapshot(device="c")
     c.interfaces = [iface("eth0", "10.0.1.1/31"), iface("lo", "3.3.3.3/32")]
-    c.entries = [AftIpv4Entry(prefix="3.3.3.3/32", entry_type="receive")]
+    c.entries = [AftIpv4Entry(prefix=Prefix.parse("3.3.3.3/32"), entry_type="receive")]
 
     return Dataplane.from_afts({"a": a, "b": b, "c": c})
 
