@@ -70,9 +70,11 @@ class JournalStall:
 
 @dataclass(frozen=True)
 class EvictionStorm:
-    """Forcibly evict ``evict`` LRU entries from the snapshot store on
-    the ``at_submit``-th submission (1-based) — mass cache-pressure
-    that exercises the ``DeploymentLostError`` retry path under load."""
+    """Forcibly evict ``evict`` LRU snapshots, and their engines, from
+    the snapshot store on the ``at_submit``-th submission (1-based) —
+    mass cache pressure: the next question on an evicted state
+    re-registers it and rebuilds its engine, and must answer as an
+    undisturbed run would."""
 
     at_submit: int
     evict: int = 2

@@ -1151,7 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--store", type=int, default=DEFAULT_CAPACITY,
-        help="resident snapshot capacity (default: %(default)s)",
+        help="resident snapshot capacity; the engine cache keeps that many "
+        "more engines warm (default: %(default)s)",
     )
     serve.add_argument(
         "--trace", help="record an observability trace to this JSONL file"

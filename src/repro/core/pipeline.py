@@ -21,7 +21,7 @@ import logging
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from repro.batfish_model.ibdp import ModelRun, run_model
 from repro.batfish_model.issues import DEFAULT_ASSUMPTIONS, ModelAssumptions
@@ -36,9 +36,6 @@ from repro.obs import bus
 from repro.protocols.timers import TimerProfile, PRODUCTION_TIMERS
 from repro.sim.kernel import SimKernel
 from repro.topo.model import Topology
-
-if TYPE_CHECKING:
-    from repro.service.store import SnapshotStore
 
 logger = logging.getLogger(__name__)
 
@@ -172,17 +169,12 @@ class ModelFreeBackend:
         timers: TimerProfile = PRODUCTION_TIMERS,
         quiet_period: float = 30.0,
         convergence_max_time: float = 86_400.0,
-        store: Optional["SnapshotStore"] = None,
     ) -> None:
         self.topology = topology
         self.cluster = cluster
         self.timers = timers
         self.quiet_period = quiet_period
         self.convergence_max_time = convergence_max_time
-        # With a store, every converged snapshot this backend produces
-        # registers on completion, so the verification service can
-        # answer questions about it without a rebuild.
-        self.store = store
         self.last_run: Optional[EmulationRun] = None
         #: (CheckpointStream, TemporalReport) of the most recent
         #: ``temporal=`` run; None otherwise.
@@ -336,8 +328,6 @@ class ModelFreeBackend:
         )
         if verify:
             _run_verify_phase(snapshot, kernel, phases)
-        if self.store is not None:
-            self.store.register(snapshot)
         return snapshot
 
 
@@ -349,11 +339,9 @@ class NativeBatfishBackend:
         topology: Topology,
         *,
         assumptions: ModelAssumptions = DEFAULT_ASSUMPTIONS,
-        store: Optional["SnapshotStore"] = None,
     ) -> None:
         self.topology = topology
         self.assumptions = assumptions
-        self.store = store
         self.last_model_run: Optional[ModelRun] = None
 
     def run(
@@ -397,8 +385,6 @@ class NativeBatfishBackend:
         )
         if verify:
             _run_verify_phase(snapshot, None, phases)
-        if self.store is not None:
-            self.store.register(snapshot)
         return snapshot
 
 

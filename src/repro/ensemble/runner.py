@@ -7,10 +7,10 @@ states: a seed sweep — optionally crossed with a set of
 :class:`~repro.core.faults.FaultPlan`\\ s so timing and fault
 nondeterminism are both sampled — whose outcomes dedup by
 ``fib_fingerprint``. Most seeds converge identically, so the ensemble
-pays one atom-graph engine per *distinct* converged state (pinned in a
-:class:`~repro.service.store.SnapshotStore`), then folds every
-invariant row across the outcomes into holds-always / holds-sometimes
-/ never with concrete witnesses.
+pays one atom-graph engine per *distinct* converged state (from
+:func:`~repro.verify.engine.engine_for`'s content-keyed table), then
+folds every invariant row across the outcomes into holds-always /
+holds-sometimes / never with concrete witnesses.
 
 Execution is :func:`run_members`, the cold run matrix that
 :func:`~repro.chaos.run_chaos` runs too, on the shard pool
@@ -18,10 +18,10 @@ Execution is :func:`run_members`, the cold run matrix that
 (:func:`~repro.core.pipeline.run_sharded`) — each shard runs its
 members on one backend in its own process and ships plain-data run
 records back; verification and the fold happen in the parent, where
-the obs collector and the store live. Temporal streams (``temporal=``)
-are evaluated *per member run* — transient behaviour differs between
-seeds even when the final states collide — and fold into
-``temporal:*`` rows whose witnesses carry the violating
+the obs collector and the engine table live. Temporal streams
+(``temporal=``) are evaluated *per member run* — transient behaviour
+differs between seeds even when the final states collide — and fold
+into ``temporal:*`` rows whose witnesses carry the violating
 ``[t_start, t_end)`` interval.
 """
 
@@ -46,7 +46,6 @@ from repro.ensemble.verdicts import (
 )
 from repro.obs import bus
 from repro.protocols.timers import PRODUCTION_TIMERS, TimerProfile
-from repro.service.store import SnapshotStore
 from repro.topo.model import Topology
 from repro.verify.invariants import (
     Blackhole,
@@ -256,9 +255,9 @@ def fold_records(
     ``dedup=False`` is the brute-force oracle shape: every record is
     its own outcome (weight 1, one engine each), which the dedup path
     must match verdict-for-verdict. ``engine_of`` supplies the engine
-    per outcome snapshot — a store's pinned engine on the dedup path, a
-    cold throwaway build on the oracle path, or None for the
-    content-keyed module cache.
+    per outcome snapshot — a cold throwaway build on the oracle path, a
+    store's engine in the service, or None for the content-keyed engine
+    table. It is asked once per distinct outcome.
     """
     collector = bus.ACTIVE
     emit = observe and collector.enabled
@@ -442,15 +441,13 @@ class EnsembleRunner:
         timers: TimerProfile = PRODUCTION_TIMERS,
         quiet_period: float = 30.0,
         convergence_max_time: float = 86_400.0,
-        store: Optional[SnapshotStore] = None,
     ) -> None:
         self.topology = topology
         self.context = context if context is not None else ScenarioContext()
         self.seeds = tuple(seeds)
         if not self.seeds:
             raise ValueError("no seeds to run an ensemble over")
-        plan_list = list(plans) if plans else [None]
-        self.plans = plan_list
+        self.plans = list(plans) if plans else [None]
         self.invariants = (
             list(invariants)
             if invariants is not None
@@ -461,16 +458,6 @@ class EnsembleRunner:
         self.timers = timers
         self.quiet_period = quiet_period
         self.convergence_max_time = convergence_max_time
-        # The store pins one engine per distinct outcome — the dedup
-        # economics. Sized to hold the whole matrix so a small default
-        # capacity never evicts mid-fold.
-        self.store = (
-            store
-            if store is not None
-            else SnapshotStore(
-                capacity=max(8, len(self.seeds) * len(plan_list))
-            )
-        )
         #: Per-member records of the most recent :meth:`run`, in matrix
         #: order — the brute-force oracle and examples read these.
         self.last_records: list[RunRecord] = []
@@ -485,8 +472,8 @@ class EnsembleRunner:
 
         ``workers > 1`` shards the matrix round-robin across a process
         pool (:func:`~repro.core.pipeline.run_sharded`), one warm backend
-        per shard; the fold runs here, where the store and the obs
-        collector live.
+        per shard; the fold runs here, where the engine table and the
+        obs collector live.
         """
         backend = ModelFreeBackend(
             self.topology,
@@ -504,7 +491,6 @@ class EnsembleRunner:
             records,
             invariants=self.invariants,
             temporal_names=temporal_invariant_names(self.temporal),
-            engine_of=self.store.engine,
             topology_name=self.topology.name,
             seeds=self.seeds,
             plans=tuple(_plan_name(plan) for plan in self.plans),

@@ -37,10 +37,6 @@ class _Question:
     def _snapshot(self, name: Optional[str]):
         return self.session.get_snapshot(name)
 
-    def _engine(self, name: Optional[str]):
-        """The session-pinned atom-graph engine for a snapshot."""
-        return self.session.get_engine(name)
-
 
 class ReachabilityQuestion(_Question):
     """Exhaustive reachability with disposition filters.
@@ -65,7 +61,7 @@ class ReachabilityQuestion(_Question):
     def answer(self, snapshot: Optional[str] = None) -> TableAnswer:
         snap = self._snapshot(snapshot)
         analysis = ReachabilityAnalysis(
-            snap.dataplane, engine=self._engine(snapshot)
+            snap.dataplane, engine=self.session.get_engine(snapshot)
         )
         ingress = [self.start] if self.start else None
         rows = analysis.analyze(ingress, dst_space=_dst_space(self.dst))

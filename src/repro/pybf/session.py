@@ -25,21 +25,17 @@ class Session:
     in :mod:`repro.core` (or loaded from disk via
     :meth:`Snapshot.load <repro.core.snapshot.Snapshot.load>`).
 
-    With ``store`` set, the session is backed by a content-addressed
-    :class:`~repro.service.store.SnapshotStore`: snapshots register on
-    init and every question's engine comes from the store's pinned
-    entry, so any number of sessions (and the verification service's
-    worker threads) sharing one store share one engine per distinct
-    forwarding state. Without a store, engines are pinned per session
-    exactly as before.
+    Every question's engine comes from the content-keyed engine table
+    (:func:`~repro.verify.engine.engine_for`), so any number of
+    sessions share one engine per distinct forwarding state. With
+    ``store`` set, snapshots also register on init with a
+    :class:`~repro.service.store.SnapshotStore`, whose lineage lets a
+    churned snapshot's engine derive from its parent's instead of
+    building cold.
     """
 
     def __init__(self, store: Optional["SnapshotStore"] = None) -> None:
         self._snapshots: dict[str, Snapshot] = {}
-        # Per-snapshot atom-graph engines, pinned for the session's
-        # lifetime so the module-level LRU cache cannot evict the
-        # analyses backing registered snapshots between questions.
-        self._engines: dict[str, "AtomGraphEngine"] = {}
         self._store = store
         self._current: Optional[str] = None
         self.q = QuestionLibrary(self)
@@ -65,7 +61,6 @@ class Session:
                 f"snapshot {name!r} already initialized (overwrite=True?)"
             )
         self._snapshots[name] = snapshot
-        self._engines.pop(name, None)
         if self._store is not None:
             self._store.register(snapshot, parent=parent)
         self._current = name
@@ -80,7 +75,6 @@ class Session:
         if name not in self._snapshots:
             raise SessionError(f"unknown snapshot: {name!r}")
         del self._snapshots[name]
-        self._engines.pop(name, None)
         if self._current == name:
             self._current = next(iter(self._snapshots), None)
 
@@ -102,20 +96,14 @@ class Session:
         """The atom-graph engine for a registered snapshot.
 
         Questions route their dataplane analyses through this method, so
-        every question asked of the same snapshot shares one engine (one
-        set of per-atom graph passes) no matter how many snapshots the
-        session juggles. Store-backed sessions delegate to the store,
-        sharing engines *across* sessions and worker threads by
-        forwarding content.
+        every question asked of the same forwarding state shares one
+        engine (one set of per-atom graph passes), across sessions and
+        worker threads. Store-backed sessions go through the store so
+        its lineage can offer a delta base.
         """
         from repro.verify.engine import engine_for
 
-        target = name or self._current
-        snapshot = self.get_snapshot(target)
+        snapshot = self.get_snapshot(name)
         if self._store is not None:
             return self._store.engine(snapshot)
-        engine = self._engines.get(target)
-        if engine is None or engine.dataplane is not snapshot.dataplane:
-            engine = engine_for(snapshot.dataplane)
-            self._engines[target] = engine
-        return engine
+        return engine_for(snapshot.dataplane)

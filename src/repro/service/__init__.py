@@ -44,11 +44,7 @@ from repro.service.resilience import (
     replay_journal,
 )
 from repro.service.service import VerificationService
-from repro.service.store import (
-    DeploymentLostError,
-    SnapshotStore,
-    StoreEntry,
-)
+from repro.service.store import DeploymentLostError, SnapshotStore
 from repro.service.workers import WorkerPool
 
 __all__ = [
@@ -72,7 +68,6 @@ __all__ = [
     "RecoveryReport",
     "ResultCache",
     "SnapshotStore",
-    "StoreEntry",
     "VerificationService",
     "WorkerPool",
     "replay_journal",

@@ -98,9 +98,9 @@ class QuestionSpec:
         ``snapshot`` (and ``reference``, for a differential question)
         must carry this spec's fingerprints; how they were resolved is
         the caller's business. The private session shares ``store``,
-        hence its pinned engines, and a reference records the lineage
-        so the snapshot's engine derives from the reference's instead
-        of building cold.
+        hence its lineage, and a reference records a lineage edge so
+        the snapshot's engine derives from the reference's instead of
+        building cold.
         """
         runner = Session(store=store)
         kwargs = {"snapshot": "__job__"}

@@ -627,10 +627,11 @@ class VerificationService:
     ) -> Job:
         """A what-if campaign as one batch job (CAMPAIGN priority).
 
-        The campaign's baseline snapshot registers with the service's
-        store, so interactive questions asked afterwards reuse its
-        engine. Deterministic per (topology, plans, timers, seed), hence
-        coalescable and cacheable like any question: the job is keyed
+        Its engines land in the shared engine table, so a question
+        asked afterwards about the same forwarding state reuses one
+        while it is resident. Deterministic per (topology, plans,
+        timers, seed), hence coalescable and cacheable like any
+        question: the job is keyed
         on the frozen plans themselves, so two plans that share a name
         but not their faults never share a report.
         """
@@ -658,7 +659,6 @@ class VerificationService:
                 timers=timers,
                 quiet_period=quiet_period,
                 seed=seed,
-                store=self.store,
             )
             return campaign.run()
 
@@ -682,7 +682,7 @@ class VerificationService:
 
         Treats the named snapshots (default: everything resident) as
         members of one ensemble — dedups them by forwarding
-        fingerprint, pays one pinned engine per distinct outcome, and
+        fingerprint, pays one engine per distinct outcome, and
         answers holds-always / holds-sometimes / never per invariant.
         ``waypoint`` ("DST_IP:VIA_NODE") appends a waypoint invariant
         to the standard battery; a malformed one raises ValueError

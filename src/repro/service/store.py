@@ -1,32 +1,44 @@
 """The content-addressed snapshot store.
 
-The service's amortization substrate: converged snapshots are keyed by
+The service's residence for converged snapshots: they are keyed by
 :meth:`Dataplane.fib_fingerprint() <repro.dataplane.model.Dataplane.fib_fingerprint>`
 — pure forwarding *content*, never object identity or snapshot name —
 so any two registrations of the same converged state (two seeds that
 agreed, a reloaded snapshot file, the same snapshot under two session
-names) collapse onto one entry holding one pinned
-:class:`~repro.verify.engine.AtomGraphEngine`.
+names) collapse onto one resident snapshot.
 
-Entries are evicted LRU once ``capacity`` is exceeded; every lookup and
-eviction is counted on the obs bus (``service.store_hits`` /
-``service.store_misses`` / ``service.store_evictions``), which is how
-``BENCH_service.json`` measures the amortization. All operations are
-thread-safe: the store is shared by every worker in the service's pool,
-and engine builds for *distinct* fingerprints proceed in parallel while
-concurrent requests for the *same* fingerprint coalesce onto one build
-(the per-entry lock here plus :func:`engine_for`'s own build locks).
+The store holds no engine. :meth:`SnapshotStore.engine` hands out the
+one engine per forwarding state that
+:func:`~repro.verify.engine.engine_for`'s content-keyed table keeps;
+what the store adds is lineage, the child -> parent fingerprint edges
+that let a churned snapshot's engine derive from a resident ancestor's
+instead of building cold. Admitting a snapshot reserves the store's
+``capacity`` in that table (:func:`~repro.verify.engine.reserve_engines`),
+so the table keeps that many more engines warm while the store lives.
+
+Snapshots are evicted LRU once ``capacity`` is exceeded; every lookup
+and eviction is counted on the obs bus (``service.store_hits`` /
+``service.store_misses`` / ``service.store_evictions``). All operations
+are thread-safe: the store is shared by every worker in the service's
+pool, and concurrent requests for one forwarding state coalesce onto
+one engine through :func:`engine_for`'s own build locks.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.snapshot import Snapshot
 from repro.obs import bus
-from repro.verify.engine import AtomGraphEngine, engine_for
+from repro.verify.engine import (
+    AtomGraphEngine,
+    drop_engines,
+    engine_for,
+    reserve_engines,
+    resident_engine,
+)
 
 #: Default resident-snapshot capacity.
 DEFAULT_CAPACITY = 8
@@ -39,60 +51,10 @@ LINEAGE_DEPTH = 4
 class DeploymentLostError(RuntimeError):
     """A job's backing state vanished mid-flight (evicted, deleted).
 
-    Transient by definition — re-registration rebuilds the entry — so
-    the worker pool retries jobs that raise it (with backoff) before
+    Transient by definition — re-registration restores it — so the
+    worker pool retries jobs that raise it (with backoff) before
     declaring them failed.
     """
-
-
-class StoreEntry:
-    """One resident converged state: snapshot + lazily pinned engine."""
-
-    __slots__ = (
-        "snapshot",
-        "fingerprint",
-        "base_supplier",
-        "_engine",
-        "_lock",
-    )
-
-    def __init__(self, snapshot: Snapshot) -> None:
-        self.snapshot = snapshot
-        self.fingerprint = snapshot.dataplane.fib_fingerprint()
-        #: Store-installed callable returning a resident ancestor's
-        #: built engine (or None) — the delta base for this build.
-        self.base_supplier: Optional[
-            Callable[[], Optional[AtomGraphEngine]]
-        ] = None
-        self._engine: Optional[AtomGraphEngine] = None
-        self._lock = threading.Lock()
-
-    def engine(self) -> AtomGraphEngine:
-        """The pinned atom-graph engine (built once, on first demand).
-
-        When the store recorded a lineage parent for this content, the
-        build derives incrementally from the parent's resident engine
-        via :func:`engine_for`'s delta path (falling back to a cold
-        build whenever the delta is unapplicable). Lock order is
-        entry._lock -> store._lock (the supplier); the store never takes
-        an entry lock while holding its own.
-        """
-        if self._engine is None:
-            with self._lock:
-                if self._engine is None:
-                    base = (
-                        self.base_supplier()
-                        if self.base_supplier is not None
-                        else None
-                    )
-                    self._engine = engine_for(
-                        self.snapshot.dataplane, base=base
-                    )
-        return self._engine
-
-    @property
-    def engine_built(self) -> bool:
-        return self._engine is not None
 
 
 class SnapshotStore:
@@ -100,11 +62,11 @@ class SnapshotStore:
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = max(1, capacity)
-        self._entries: "OrderedDict[int, StoreEntry]" = OrderedDict()
+        self._snapshots: "OrderedDict[int, Snapshot]" = OrderedDict()
         #: child fingerprint -> parent fingerprint; survives eviction of
         #: either side (it is metadata, not residence).
         self._lineage: dict[int, int] = {}
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -116,13 +78,12 @@ class SnapshotStore:
     ) -> int:
         """Make ``snapshot`` resident; returns its fingerprint.
 
-        Re-registering existing content is a hit (the entry is
-        refreshed in LRU order, its pinned engine survives). ``parent``
-        optionally records which resident content this snapshot churned
-        from, letting the entry's engine derive incrementally instead
-        of building cold.
+        Re-registering existing content is a hit (refreshed in LRU
+        order). ``parent`` optionally records which content this
+        snapshot churned from, letting its engine derive incrementally
+        instead of building cold.
         """
-        fingerprint = self._entry_for(snapshot).fingerprint
+        fingerprint = self._admit(snapshot)
         if parent is not None:
             self.record_lineage(fingerprint, parent)
         return fingerprint
@@ -139,71 +100,74 @@ class SnapshotStore:
         with self._lock:
             self._lineage[child] = parent
 
-    def get(self, fingerprint: int) -> StoreEntry:
-        """The resident entry for ``fingerprint``.
+    def get(self, fingerprint: int) -> Snapshot:
+        """The resident snapshot for ``fingerprint``.
 
         Raises :class:`DeploymentLostError` when the state is no longer
         resident — callers holding only a fingerprint cannot rebuild it.
         """
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is None:
+            snapshot = self._snapshots.get(fingerprint)
+            if snapshot is None:
                 self.misses += 1
                 self._record_lookup("miss")
                 raise DeploymentLostError(
                     f"snapshot {fingerprint:#x} is no longer resident"
                 )
-            self._entries.move_to_end(fingerprint)
+            self._snapshots.move_to_end(fingerprint)
             self.hits += 1
             self._record_lookup("hit")
-            return entry
+            return snapshot
 
     def engine(self, snapshot: Snapshot) -> AtomGraphEngine:
-        """The pinned engine for ``snapshot``, registering it if needed.
+        """The engine for ``snapshot``, registering it if needed.
 
         This is the path :class:`~repro.pybf.session.Session` routes
-        questions through when backed by a store: an eviction between
-        two questions costs one rebuild, never a wrong answer.
+        questions through when backed by a store. The engine comes from
+        :func:`engine_for`'s table; on a table miss it derives from the
+        nearest lineage ancestor whose engine is resident there, else
+        builds cold. An eviction between two questions costs one
+        rebuild, never a wrong answer.
         """
-        return self._entry_for(snapshot).engine()
+        fingerprint = self._admit(snapshot)
+        base = (
+            None if resident_engine(fingerprint) is not None
+            else self._delta_base(fingerprint)
+        )
+        return engine_for(snapshot.dataplane, base=base)
 
-    def _entry_for(self, snapshot: Snapshot) -> StoreEntry:
+    def _admit(self, snapshot: Snapshot) -> int:
         fingerprint = snapshot.dataplane.fib_fingerprint()
         with self._lock:
-            entry = self._entries.get(fingerprint)
-            if entry is not None:
-                self._entries.move_to_end(fingerprint)
+            if fingerprint in self._snapshots:
+                self._snapshots.move_to_end(fingerprint)
                 self.hits += 1
                 self._record_lookup("hit")
-                return entry
+                return fingerprint
             self.misses += 1
             self._record_lookup("miss")
-            entry = StoreEntry(snapshot)
-            entry.base_supplier = (
-                lambda fp=fingerprint: self._delta_base(fp)
-            )
-            self._entries[fingerprint] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                if bus.ACTIVE.enabled:
-                    bus.ACTIVE.count("service.store_evictions")
-            resident = len(self._entries)
+            self._snapshots[fingerprint] = snapshot
+            while len(self._snapshots) > self.capacity:
+                self._snapshots.popitem(last=False)
+                self._count_eviction()
+            resident = len(self._snapshots)
+        reserve_engines(self, self.capacity)
         registry = bus.metrics_registry()
         if registry.enabled:
             registry.gauge(
                 "service.store_resident",
-                "Converged snapshots (and pinned engines) held resident",
+                "Converged snapshots held resident",
             ).set(resident)
-        return entry
+        return fingerprint
 
     def _delta_base(self, fingerprint: int) -> Optional[AtomGraphEngine]:
-        """The nearest lineage ancestor with a resident *built* engine.
+        """The nearest lineage ancestor whose engine is resident.
 
         Walks child -> parent links up to :data:`LINEAGE_DEPTH` hops —
-        non-resident intermediates are skipped over, so a grandparent
-        can still serve after its child was evicted. Returns None when
-        nothing usable is found (the caller builds cold).
+        ancestors without a resident engine are skipped over, so a
+        grandparent can still serve after its child was evicted.
+        Returns None when nothing usable is found (the caller builds
+        cold).
         """
         with self._lock:
             seen = {fingerprint}
@@ -212,9 +176,9 @@ class SnapshotStore:
                 parent = self._lineage.get(current)
                 if parent is None or parent in seen:
                     return None
-                entry = self._entries.get(parent)
-                if entry is not None and entry.engine_built:
-                    return entry._engine
+                engine = resident_engine(parent)
+                if engine is not None:
+                    return engine
                 seen.add(parent)
                 current = parent
         return None
@@ -235,45 +199,52 @@ class SnapshotStore:
                 ("result",),
             ).inc(result=result)
 
+    def _count_eviction(self) -> None:
+        self.evictions += 1
+        if bus.ACTIVE.enabled:
+            bus.ACTIVE.count("service.store_evictions")
+
     def evict(self, count: int = 1) -> int:
-        """Forcibly evict up to ``count`` LRU entries; returns how many.
+        """Forcibly evict up to ``count`` LRU snapshots and their
+        engines; returns how many.
 
         Normal operation never needs this — capacity bounds residence on
-        its own. It exists for the service-level chaos plane
-        (:class:`~repro.chaos.service_plan.EvictionStorm`): a seeded
-        storm forces warm engines out from under in-flight jobs, and
-        resilience is proven when answers stay correct (rebuilt cold)
-        rather than fast.
+        its own, and leaves engines to the engine table's own LRU. It
+        exists for the service-level chaos plane
+        (:class:`~repro.chaos.service_plan.EvictionStorm`): the evicted
+        states' engines leave the engine table too, so the next
+        question on one re-registers it and rebuilds its engine (cold,
+        or derived from a resident ancestor). Resilience is proven when
+        those answers stay correct rather than fast.
         """
-        evicted = 0
+        evicted = []
         with self._lock:
             for _ in range(max(0, count)):
-                if not self._entries:
+                if not self._snapshots:
                     break
-                self._entries.popitem(last=False)
-                self.evictions += 1
-                evicted += 1
-                if bus.ACTIVE.enabled:
-                    bus.ACTIVE.count("service.store_evictions")
-        return evicted
+                evicted.append(self._snapshots.popitem(last=False)[0])
+                self._count_eviction()
+        drop_engines(evicted)
+        return len(evicted)
 
     # -- introspection --------------------------------------------------------
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._snapshots)
 
     def __contains__(self, fingerprint: int) -> bool:
         with self._lock:
-            return fingerprint in self._entries
+            return fingerprint in self._snapshots
 
     def stats(self) -> dict:
         with self._lock:
             return {
                 "capacity": self.capacity,
-                "resident": len(self._entries),
+                "resident": len(self._snapshots),
                 "engines_built": sum(
-                    1 for e in self._entries.values() if e.engine_built
+                    1 for fp in self._snapshots
+                    if resident_engine(fp) is not None
                 ),
                 "hits": self.hits,
                 "misses": self.misses,

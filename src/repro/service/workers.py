@@ -14,7 +14,7 @@ second scheduler: each worker thread owns one forked child. The thread
 pops jobs as usual and hands a question job with a picklable
 :class:`~repro.service.resilience.QuestionSpec` to its child over a
 private pipe; the child adopts the snapshots by content fingerprint
-from the journal manifest and pins engines in its own store. While it
+from the journal manifest and registers them in its own store. While it
 waits, the thread watches the reply, the child's ``is_alive()``, its
 heartbeat (stamped every ``heartbeat_s / 2`` by a child thread, so a
 busy child still beats) and the job's deadline:

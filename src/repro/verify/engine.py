@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -904,10 +905,15 @@ class AtomGraphEngine:
 
 # -- the per-snapshot engine cache ------------------------------------------
 
-#: Engines the module-level LRU keeps resident.
+#: Engines the module-level LRU keeps resident, on top of what live
+#: owners reserve through :func:`reserve_engines`.
 CACHE_LIMIT = 8
 _CACHE: OrderedDict[tuple, AtomGraphEngine] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
+# owner -> engines it reserved; an entry leaves with its owner.
+_RESERVED: "weakref.WeakKeyDictionary[object, int]" = (
+    weakref.WeakKeyDictionary()
+)
 # key -> build lock, so concurrent engine_for calls for the *same*
 # forwarding state coalesce onto one build while distinct states still
 # build in parallel (the service's worker threads hit this constantly).
@@ -950,7 +956,8 @@ def _register_engine(key: tuple, engine: AtomGraphEngine) -> AtomGraphEngine:
                 bus.ACTIVE.count("verify.engine_build_discarded")
             return existing
         _CACHE[key] = engine
-        while len(_CACHE) > CACHE_LIMIT:
+        limit = CACHE_LIMIT + sum(_RESERVED.values())
+        while len(_CACHE) > limit:
             _CACHE.popitem(last=False)
             if bus.ACTIVE.enabled:
                 bus.ACTIVE.count("verify.engine_cache_evictions")
@@ -1141,8 +1148,40 @@ def _lookup(
     return engine, fallback_reason
 
 
+def reserve_engines(owner: object, count: int) -> None:
+    """Grow the table's bound by ``count`` while ``owner`` lives (or
+    until :func:`clear_engine_cache`).
+
+    A :class:`~repro.service.store.SnapshotStore` reserves its capacity
+    this way, so the states it holds resident keep their engines warm
+    beside the :data:`CACHE_LIMIT` most recent ones.
+    """
+    with _CACHE_LOCK:
+        _RESERVED[owner] = max(0, count)
+
+
+def resident_engine(fingerprint: int) -> Optional[AtomGraphEngine]:
+    """The cached default-partition engine for ``fingerprint``, or None.
+
+    A peek for lineage walks: it neither counts a cache hit nor
+    refreshes the entry's LRU position.
+    """
+    with _CACHE_LOCK:
+        return _CACHE.get((fingerprint, 0))
+
+
+def drop_engines(fingerprints) -> None:
+    """Drop every cached engine (any partition) for ``fingerprints``."""
+    doomed = set(fingerprints)
+    with _CACHE_LOCK:
+        for key in [key for key in _CACHE if key[0] in doomed]:
+            del _CACHE[key]
+
+
 def clear_engine_cache() -> None:
-    """Drop all memoized engines (tests and long-lived processes)."""
+    """Drop all memoized engines and reservations (tests and long-lived
+    processes)."""
     with _CACHE_LOCK:
         _CACHE.clear()
         _BUILDS.clear()
+        _RESERVED.clear()

@@ -92,7 +92,6 @@ class WhatIfCampaign:
         quiet_period: float = 30.0,
         convergence_max_time: float = 86_400.0,
         seed: int = 0,
-        store=None,
         temporal=None,
     ) -> None:
         self.topology = topology
@@ -110,20 +109,10 @@ class WhatIfCampaign:
         # window is recorded and evaluated, and the interval counts land
         # on its verdict (temporal_* fields).
         self.temporal = temporal
-        # Optional verification-service SnapshotStore: the baseline
-        # snapshot registers there, so service questions asked after a
-        # campaign reuse its engine. Sequential path only — process-pool
-        # shards cannot share an in-memory store.
-        self.store = store
         # Per-phase durations from the most recent run (span names are
         # prefixed "whatif:<scenario>" so they never collide with the
         # pipeline's own deploy/converge/extract phases in a timeline).
         self.phases: dict[str, dict[str, float]] = {}
-
-    def __getstate__(self) -> dict:
-        # A pool shard runs on its own backend; the store (locks, live
-        # engines) stays in this process.
-        return {**self.__dict__, "store": None}
 
     def run(self, workers: int = 1) -> CampaignReport:
         """Execute every scenario; returns the campaign report.
@@ -215,7 +204,6 @@ class WhatIfCampaign:
             timers=self.timers,
             quiet_period=self.quiet_period,
             convergence_max_time=self.convergence_max_time,
-            store=self.store,
         )
         self.phases = {}
         baselines: dict[int, CampaignReport] = {}

@@ -133,7 +133,6 @@ class TestEnsembleRunner:
         report = fold_records(
             fig3_runner.last_records,
             invariants=fig3_runner.invariants,
-            engine_of=fig3_runner.store.engine,
         )
         assert report.runs == 4
         # Fig. 3 has no ordering-dependent tiebreaks: one outcome.
@@ -147,7 +146,6 @@ class TestEnsembleRunner:
         report = fold_records(
             fig3_runner.last_records,
             invariants=fig3_runner.invariants,
-            engine_of=fig3_runner.store.engine,
         )
         oracle = brute_force_verdicts(
             fig3_runner.last_records, invariants=fig3_runner.invariants
@@ -208,7 +206,6 @@ class TestEnsembleRunner:
         report = fold_records(
             fig3_runner.last_records,
             invariants=[Waypoint("3.3.3.1", via)],
-            engine_of=fig3_runner.store.engine,
         )
         [verdict] = report.verdicts
         assert verdict.invariant == f"waypoint:3.3.3.1-via-{via}"

@@ -40,6 +40,7 @@ from repro.service import (
     VerificationService,
     replay_journal,
 )
+from repro.obs import tracing
 from repro.service.frontend import ServiceFrontend, _serialize_value
 
 
@@ -707,26 +708,39 @@ class TestServiceChaosPlan:
 
     def test_eviction_storm_fires_on_submit_index(self, fig2_snapshots):
         healthy, _ = fig2_snapshots
-        svc = VerificationService(workers=1)
-        svc.start()
-        try:
-            svc.register_snapshot(healthy, name="net")
-            plan = ServiceFaultPlan(
-                faults=(EvictionStorm(at_submit=1, evict=1),)
-            )
-            with ServiceChaos(svc, plan) as chaos:
-                job = svc.submit("reachability", snapshot="net")
-                # The storm evicted the snapshot at submit; the retry
-                # path re-resolves or fails structurally — either way
-                # the submission is never silently lost.
-                try:
-                    job.result(60)
-                except JobFailedError:
-                    pass
-            assert [f["kind"] for f in chaos.fired] == ["eviction-storm"]
-            assert svc.store.stats()["evictions"] >= 1
-        finally:
-            svc.stop()
+        warm = ("reachability", {})
+        stormed = ("reachability", {"actions": "FAILURE"})
+
+        def made(tracer):
+            return tracer.counters.get(
+                "verify.engine_builds", 0
+            ) + tracer.counters.get("verify.delta_applies", 0)
+
+        with VerificationService(workers=1) as calm:
+            calm.register_snapshot(healthy, name="net")
+            expected = calm.submit(*stormed, snapshot="net").result(60).value
+        with tracing() as tracer:
+            svc = VerificationService(workers=1)
+            svc.start()
+            try:
+                svc.register_snapshot(healthy, name="net")
+                svc.submit(*warm, snapshot="net").result(60)  # warms the engine
+                before = made(tracer)
+                plan = ServiceFaultPlan(
+                    faults=(EvictionStorm(at_submit=2, evict=1),)
+                )
+                with ServiceChaos(svc, plan) as chaos:
+                    # A different question, so the result cache cannot
+                    # answer it: the job re-registers the evicted state
+                    # and rebuilds its engine.
+                    job = svc.submit(*stormed, snapshot="net")
+                    answer = job.result(60).value
+                assert [f["kind"] for f in chaos.fired] == ["eviction-storm"]
+                assert svc.store.stats()["evictions"] >= 1
+            finally:
+                svc.stop()
+        assert answer == expected
+        assert made(tracer) >= before + 1
 
 
 class TestHealthAndFrontend:

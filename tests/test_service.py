@@ -36,7 +36,26 @@ from repro.service.frontend import ServiceFrontend, serve_loop
 from repro.service.jobs import DEFAULT_QUEUE_DEPTH
 from repro.service.store import DEFAULT_CAPACITY
 from repro.service.workers import DEFAULT_WORKERS, WorkerPool
-from repro.verify.engine import clear_engine_cache, engine_for
+from repro.verify import engine as engine_mod
+from repro.verify.engine import CACHE_LIMIT, clear_engine_cache, engine_for
+
+
+def _without_entry(snapshot, index):
+    """``snapshot``'s forwarding with its ``index``-th FIB entry
+    (counting router by router) dropped: a distinct state one entry
+    away."""
+    for name in sorted(snapshot.afts):
+        aft = snapshot.afts[name]
+        if index < len(aft.entries):
+            break
+        index -= len(aft.entries)
+    entries = aft.entries[:index] + aft.entries[index + 1:]
+    return replace(
+        snapshot,
+        name=f"{snapshot.name}-{index}",
+        afts={**snapshot.afts, name: replace(aft, entries=entries)},
+        _dataplane=None,
+    )
 
 
 def _job(n, priority=JobPriority.INTERACTIVE, run=None, **kwargs):
@@ -121,6 +140,7 @@ class TestSnapshotStore:
 
     def test_stats_shape(self, fig3_emulated):
         store = SnapshotStore(capacity=4)
+        clear_engine_cache()  # the store counts the table's engines
         store.register(fig3_emulated[1])
         stats = store.stats()
         assert stats["resident"] == 1
@@ -568,6 +588,61 @@ class TestConcurrentEngineAccess:
         assert len(store) == 1
         clear_engine_cache()
 
+    def test_store_races_on_a_child_share_one_engine(
+        self, fig2_snapshots, monkeypatch
+    ):
+        """Concurrent derivations from a resident parent's engine land
+        on one registered engine object."""
+        monkeypatch.setattr(engine_mod, "DELTA_THRESHOLD", 1.0)
+        healthy, _ = fig2_snapshots
+        child = _without_entry(healthy, 0)
+        store = SnapshotStore(capacity=4)
+        clear_engine_cache()
+        store.engine(healthy)
+        store.register(child, parent=healthy.dataplane.fib_fingerprint())
+        barrier = threading.Barrier(6)
+        engines = []
+
+        def hammer():
+            barrier.wait(5)
+            engines.append(store.engine(child))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with tracing() as tracer:
+                threads = [threading.Thread(target=hammer) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(engines) == 6
+        assert len({id(engine) for engine in engines}) == 1
+        assert engines[0].delta_stats.base_fingerprint == (
+            healthy.dataplane.fib_fingerprint()
+        )
+        assert tracer.counters.get("verify.engine_builds", 0) == 0
+        assert engine_for(child.dataplane) is engines[0]
+        clear_engine_cache()
+
+    def test_one_engine_object_per_state(self, fig2_snapshots):
+        """The store keeps no engine of its own: after the table evicts
+        a state, the store and a plain engine_for share its rebuild."""
+        healthy, _ = fig2_snapshots
+        store = SnapshotStore(capacity=4)
+        clear_engine_cache()
+        store.engine(healthy)
+        # The table holds CACHE_LIMIT engines plus the store's capacity.
+        for index in range(CACHE_LIMIT + store.capacity):
+            engine_for(_without_entry(healthy, index).dataplane)
+        with tracing() as tracer:
+            assert engine_for(healthy.dataplane) is store.engine(healthy)
+        assert tracer.counters["verify.engine_builds"] == 1
+        clear_engine_cache()
+
 
 class TestSessionStoreWiring:
     def test_sessions_sharing_store_share_engines(self, fig2_snapshots):
@@ -582,25 +657,6 @@ class TestSessionStoreWiring:
             assert one.get_engine("mine") is two.get_engine("theirs")
         assert tracer.counters["verify.engine_builds"] == 1
         clear_engine_cache()
-
-    def test_pipeline_registers_snapshot_with_store(self, fig2):
-        from repro.core.pipeline import ModelFreeBackend
-        from repro.protocols.timers import FAST_TIMERS
-
-        store = SnapshotStore(capacity=4)
-        backend = ModelFreeBackend(
-            fig2.topology, timers=FAST_TIMERS, quiet_period=5.0, store=store
-        )
-        snapshot = backend.run(snapshot_name="piped")
-        assert snapshot.dataplane.fib_fingerprint() in store
-
-    def test_model_backend_registers_with_store(self, fig3):
-        from repro.core.pipeline import NativeBatfishBackend
-
-        store = SnapshotStore(capacity=4)
-        backend = NativeBatfishBackend(fig3.topology, store=store)
-        snapshot = backend.run(snapshot_name="modeled")
-        assert snapshot.dataplane.fib_fingerprint() in store
 
 
 class TestCampaignJobs:
@@ -619,8 +675,6 @@ class TestCampaignJobs:
             assert job.priority is JobPriority.CAMPAIGN
             report = job.result(timeout=60).value
         assert len(report.verdicts) == 1
-        # The campaign baseline became resident in the service store.
-        assert svc.store.stats()["resident"] >= 1
 
     def test_same_names_other_faults_are_another_job(self, fig2):
         """Two flaps share a name but not their hold, and one campaign

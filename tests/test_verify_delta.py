@@ -449,7 +449,7 @@ class TestStoreLineage:
         store.engine(base)  # pin the parent engine
         cut_fp = store.register(cut, parent=base_fp)
         assert store.stats()["lineage_edges"] == 1
-        engine = store.get(cut_fp).engine()
+        engine = store.engine(store.get(cut_fp))
         assert engine.delta_stats is not None
         assert engine.delta_stats.fallback is None
         assert engine.delta_stats.base_fingerprint == base_fp
@@ -503,7 +503,7 @@ class TestStoreLineage:
         base_fp = store.register(base)
         store.engine(base)
         cut_fp = store.register(cut, parent=base_fp)
-        engine = store.get(cut_fp).engine()
+        engine = store.engine(store.get(cut_fp))
         assert engine.delta_stats is None  # cold build, no base offered
         clear_engine_cache()
 

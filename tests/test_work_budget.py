@@ -1,21 +1,24 @@
-"""Work budgets: exact per-prefix work counts on the AFT extraction path.
+"""Work budgets: exact work counts on the extraction and question paths.
 
 Wall time on a shared host is noisy; these counts are not. Each test
 runs one small converged production fabric and counts the calls that
 carry per-prefix cost — ``Prefix.parse``, ``str(Prefix)``, the afts
-encode and decode — so a change that brings back a re-parse, an unread
-encode or a second decode fails here exactly, not as a blur in a
-benchmark.
+encode and decode — or the engines a question stream builds, so a
+change that brings back a re-parse, an unread encode, a second decode
+or a duplicate engine fails here exactly, not as a blur in a benchmark.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 import pytest
 
 from repro.chaos import ChaosInjector
+from repro.core.context import ScenarioContext
 from repro.core.faults import FaultPlan, StaleAft
+from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.corpus.routes import RouteInjector
 from repro.gnmi.aft import AftSnapshot
@@ -23,6 +26,11 @@ from repro.gnmi.server import extract_afts
 from repro.kube.cluster import KubeCluster
 from repro.kube.kne import KneDeployment
 from repro.net.addr import Prefix
+from repro.obs import tracing
+from repro.service.resilience import QuestionSpec
+from repro.service.store import SnapshotStore
+from repro.verify.engine import CACHE_LIMIT, clear_engine_cache
+from repro.whatif.scenarios import _unique_node_pairs
 
 
 def _converged():
@@ -122,3 +130,43 @@ def test_stale_fault_still_takes_the_wire_and_is_caught(calls):
     live = deployment.routers[node].rib.fib.version
     assert report.afts[node] is first[node]
     assert report.afts[node].fib_version == live
+
+
+def test_question_stream_engine_builds():
+    """A seeded stream of reachability and differential questions over
+    more states than CACHE_LIMIT, through one store: every
+    engine it makes is a cold build or a derivation, and both are
+    counted exactly."""
+    scenario = production_scenario(6, peers=1, routes_per_peer=40, seed=7)
+    backend = ModelFreeBackend(
+        scenario.topology, timers=scaled_timers(40), quiet_period=30.0
+    )
+    context = ScenarioContext(name="prod", injectors=tuple(scenario.injectors))
+    states = [backend.run(context)] + [
+        backend.run(context.with_link_down(a, z))
+        for a, z in _unique_node_pairs(scenario.topology)
+    ]
+    assert len({s.dataplane.fib_fingerprint() for s in states}) > CACHE_LIMIT
+    base = states[0]
+    store = SnapshotStore()
+    rng = random.Random(11)
+    clear_engine_cache()
+    with tracing() as tracer:
+        for _ in range(80):
+            snapshot = rng.choice(states)
+            fingerprint = snapshot.dataplane.fib_fingerprint()
+            if rng.random() < 0.3 and snapshot is not base:
+                spec = QuestionSpec(
+                    "differentialReachability", (), None, fingerprint,
+                    reference_fingerprint=base.dataplane.fib_fingerprint(),
+                )
+                spec.answer(store, snapshot, base)
+            else:
+                spec = QuestionSpec("reachability", (), None, fingerprint)
+                spec.answer(store, snapshot)
+    clear_engine_cache()
+    # The store's capacity widens the table past CACHE_LIMIT, so each of
+    # the 10 states gets one engine: derived when its first question is
+    # a differential against the resident base, else built cold.
+    assert tracer.counters.get("verify.engine_builds", 0) <= 8
+    assert tracer.counters.get("verify.delta_applies", 0) <= 2
