@@ -77,14 +77,6 @@ class KubeCluster:
             ]
         )
 
-    @property
-    def total_allocatable_cpu(self) -> float:
-        return sum(n.allocatable_cpu for n in self.nodes)
-
-    @property
-    def total_allocatable_memory_gb(self) -> float:
-        return sum(n.allocatable_memory_gb for n in self.nodes)
-
     def node(self, name: str) -> KubeNode:
         for node in self.nodes:
             if node.name == name:

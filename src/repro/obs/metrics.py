@@ -202,11 +202,6 @@ class _Family:
         with self._lock:
             return list(self._children.values())
 
-    @property
-    def _default(self) -> _Child:
-        """The unlabeled child (only valid when labelnames is empty)."""
-        return self.labels()
-
 
 class Counter(_Family):
     """A monotonically increasing sum (optionally labeled)."""

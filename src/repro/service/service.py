@@ -214,7 +214,7 @@ class VerificationService:
         # Delta-derivation series (emitted by repro.verify.engine when a
         # lineage base is available): preregistered so a scrape shows
         # zeroes rather than gaps before the first churn arrives.
-        from repro.verify.engine import DIRTY_ATOM_BUCKETS
+        from repro.verify.engine import DIRTY_ATOM_BUCKETS, FALLBACK_REASONS
 
         m.counter(
             "verify.delta_applies",
@@ -233,9 +233,7 @@ class VerificationService:
             "Delta derivations abandoned for a cold build, by reason",
             ("reason",),
         )
-        for reason in (
-            "device-set", "acl-change", "dirty-fraction", "base-mismatch"
-        ):
+        for reason in FALLBACK_REASONS:
             reasons.labels(reason=reason)
         m.histogram(
             "verify.dirty_atoms",

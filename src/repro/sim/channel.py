@@ -24,10 +24,6 @@ class Delivery:
     event: Event
 
 
-class ChannelDown(RuntimeError):
-    """Raised when sending on an administratively-down channel."""
-
-
 class Channel:
     """One direction of a virtual wire.
 

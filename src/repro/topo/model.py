@@ -125,9 +125,6 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node: {name}") from None
 
-    def has_node(self, name: str) -> bool:
-        return name in self._nodes
-
     def node_names(self) -> list[str]:
         return list(self._nodes)
 

@@ -17,7 +17,7 @@ reported with a concrete witness flow and both traces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.dataplane.forwarding import (
     Disposition,
@@ -198,7 +198,6 @@ def differential_reachability(
     *,
     ingress_nodes: Optional[Iterable[str]] = None,
     dst_space: Optional[HeaderSpace] = None,
-    atoms: Optional[Sequence[IntervalSet]] = None,
     reference_engine: Optional[AtomGraphEngine] = None,
 ) -> list[DifferentialRow]:
     """All behaviour differences between two snapshots.
@@ -214,42 +213,28 @@ def differential_reachability(
     differing rows and for ACL-tainted atoms, whose header-space splits
     require the exact walk comparison.
 
-    Without ``atoms``, each snapshot keeps its *own* default partition
-    — the snapshot engine derived incrementally from the reference's
-    via :func:`engine_for`'s delta path when their churn allows — and
-    the comparison iterates the merge of both partitions' boundaries
-    (identical to the union partition, since boundaries are exactly the
-    two prefix sets' endpoints). ``atoms`` may instead supply one
-    shared pre-refined partition both engines are built over (it must
-    refine the union partition of both dataplanes — a caller comparing
-    many snapshots passes one shared across all of them, so each
-    snapshot's engine is built once, not once per pair).
-    ``reference_engine`` supplies the reference's default-partition
-    engine when the caller holds one (it is the snapshot engine's
-    lineage base).
+    Each snapshot keeps its *own* partition — the snapshot engine is
+    derived incrementally from the reference's via :func:`engine_for`'s
+    delta path when their churn allows — and the comparison iterates
+    the merge of both partitions' boundaries (identical to the union
+    partition, since boundaries are exactly the two prefix sets'
+    endpoints). ``reference_engine`` supplies the reference's engine
+    when the caller holds one (it is the snapshot engine's lineage
+    base).
     """
     common = set(reference.node_names()) & set(snapshot.node_names())
     nodes = sorted(common if ingress_nodes is None else
                    common & set(ingress_nodes))
     restriction = dst_space.dst_values() if dst_space is not None else None
-    if atoms is None:
-        ref_engine = (
-            reference_engine
-            if reference_engine is not None
-            else engine_for(reference)
-        )
-        new_engine = engine_for(snapshot, base=ref_engine)
-        ref_engine.precompute()
-        new_engine.precompute()
-        pieces, lows, ref_of, new_of = _merged_pieces(ref_engine, new_engine)
-    else:
-        ref_engine = engine_for(reference, atoms)
-        new_engine = engine_for(snapshot, atoms)
-        ref_engine.precompute()
-        new_engine.precompute()
-        pieces = list(atoms)
-        lows = [atom.min() for atom in pieces]
-        ref_of = new_of = range(len(pieces))
+    ref_engine = (
+        reference_engine
+        if reference_engine is not None
+        else engine_for(reference)
+    )
+    new_engine = engine_for(snapshot, base=ref_engine)
+    ref_engine.precompute()
+    new_engine.precompute()
+    pieces, lows, ref_of, new_of = _merged_pieces(ref_engine, new_engine)
     # Only the pieces the restriction overlaps, found by bisection.
     visits = (
         list(enumerate(pieces))

@@ -103,13 +103,16 @@ def _prefix_indexes(prefixes, reps: list[int]) -> set[int]:
     return out
 
 
+#: Every reason a delta apply can give up for a cold build: the labels
+#: of ``verify.delta_fallback_reasons`` and the ``--delta-stats``
+#: fallback line.
+FALLBACK_REASONS = ("device-set", "acl-change", "dirty-fraction", "base-mismatch")
+
+
 class DeltaUnapplicable(Exception):
     """A delta is outside the incremental path's scope; build cold.
 
-    ``reason`` is one of the stable strings surfaced in the
-    ``verify.delta_fallbacks`` metric and ``--delta-stats`` output:
-    ``device-set``, ``acl-change``, ``dirty-fraction``,
-    ``base-mismatch``.
+    ``reason`` is one of :data:`FALLBACK_REASONS`.
     """
 
     def __init__(self, reason: str) -> None:
@@ -148,11 +151,12 @@ class DeltaStats:
     def dirty_fraction(self) -> float:
         return self.dirty_atoms / self.total_atoms if self.total_atoms else 0.0
 
-#: Node-structure tags (see ``_resolve_node``).
+#: Node structs of the terminal entry kinds (``None`` is no route; see
+#: ``_resolve_node``): the same on every device and for every atom.
 _TERMINAL = {
-    None: Disposition.NO_ROUTE,
-    "receive": Disposition.ACCEPTED,
-    "discard": Disposition.NULL_ROUTED,
+    None: ((), (Disposition.NO_ROUTE,), False),
+    "receive": ((), (Disposition.ACCEPTED,), True),
+    "discard": ((), (Disposition.NULL_ROUTED,), False),
 }
 
 
@@ -182,10 +186,9 @@ class AtomVerdict:
 class AtomGraphEngine:
     """One next-hop graph per destination atom, shared by every query.
 
-    ``atoms`` defaults to the dataplane's own partition; differential
-    callers may pass a shared refinement so one engine per snapshot
-    serves every pairwise comparison (any refinement of the
-    atom partition keeps per-atom LPM decisions constant).
+    ``atoms`` defaults to the dataplane's own partition; :meth:`apply_delta`
+    passes a refinement of it (any refinement keeps per-atom LPM
+    decisions constant).
     """
 
     def __init__(
@@ -216,18 +219,22 @@ class AtomGraphEngine:
         self._shared: dict[tuple, dict[str, AtomVerdict]] = {}
         # (device, interface, gateway) -> resolved peer device (or None)
         self._hop_peers: dict[tuple[str, str, int], Optional[str]] = {}
-        # device -> {entry -> struct}, for rep-independent resolutions.
-        # Keyed by entry *content*, not id(): id() values are recycled
-        # after GC, which in a long-lived process could silently alias
-        # two different FIB entries; ForwardingEntry is frozen/hashable
-        # so content keying is exact (and lets equal entries share).
-        # Nested per device so apply_delta can adopt an untouched
-        # device's whole sub-cache with one dict copy (no re-hashing).
+        # device -> {next-hop group -> struct}, for the forward structs
+        # that do not depend on the atom's representative address. A
+        # forward struct depends only on the device, the entry's hops
+        # and the adjacency, so every prefix sharing a group shares one
+        # slot. Keyed by the hops tuple's *content*, not id(): id()
+        # values are recycled after GC, which in a long-lived process
+        # could silently alias two different groups. Nested per device
+        # so apply_delta can adopt a device's sub-cache with one copy.
         self._node_cache: dict[str, dict] = {}
-        # Per-atom lineage state for apply_delta (see _decision_lists
-        # and _atom_keys), filled on first use.
+        # Per device, the FIB entry governing each atom: kept from the
+        # one sweep _ensure_all makes (or patched by apply_delta).
         self._decisions: Optional[dict[str, list]] = None
-        self._keys: Optional[list] = None
+        # Per atom, the decision vector its table is shared under,
+        # recorded when the table is built (None until then, and for a
+        # degraded atom, whose table is not shared).
+        self._keys: list = [None] * len(self.atoms)
         self._complete = False
         # Delta-derived engines skip the build counters: they are not
         # cold builds, and report through verify.delta_applies instead.
@@ -293,9 +300,9 @@ class AtomGraphEngine:
 
         * a **group rewrite** keeps the atom's governing prefix (it is
           on both sides) and only swaps the entry's next-hop group, so
-          the struct becomes the new group's, resolved once per group
-          against the target adjacency (per atom only where it depends
-          on the representative address);
+          the struct becomes the new group's, which the node memo
+          resolves once per group against the target adjacency (per
+          atom only where it depends on the representative address);
         * a **structural** change (added/removed prefix, entry-type
           change) can move the governing prefix itself, so those atoms
           re-probe the target table;
@@ -335,10 +342,10 @@ class AtomGraphEngine:
         # Clean derived atoms adopt base tables and patched ones start
         # from the base decision vector, so every base table must exist;
         # the base is usually precomputed already (it served queries
-        # before the churn arrived).
-        decisions = self._decision_lists()
-        self._ensure_all(decisions)
-        keys = self._atom_keys()
+        # before the churn arrived), and its sweep and vectors are kept.
+        self._ensure_all()
+        decisions = self._decisions
+        keys = self._keys
 
         # (a) Refine the partition only where structural changes split
         # existing atoms; each derived atom starts from its base atom's
@@ -367,9 +374,9 @@ class AtomGraphEngine:
 
         # Resident-state reuse. Untouched devices share their compiled
         # LPM index outright. Node-struct and hop-peer caches survive
-        # FIB-only churn too — structs are keyed by entry *content* and
-        # depend otherwise only on the device's adjacency/addressing —
-        # so only re-resolved devices drop theirs.
+        # FIB-only churn too — structs are keyed by next-hop group
+        # *content* and depend otherwise only on the device's
+        # adjacency/addressing — so only re-resolved devices drop theirs.
         touched_set = set(touched)
         reused_indexes = 0
         for name in self._names:
@@ -484,50 +491,36 @@ class AtomGraphEngine:
                     if hit:
                         todo.add(index)
 
-        # (d) Resolve the new structs: once per next-hop group where the
-        # struct does not depend on the representative address.
+        # (d) Resolve the new structs: the node memo resolves each
+        # next-hop group once, unless its struct depends on the atom.
         position = {name: slot for slot, name in enumerate(self._names)}
         patches: dict[int, dict[int, tuple]] = {}
         for name, todo in pending.items():
             slot = position[name]
             column = columns[name]
-            node_cache = derived._node_cache.setdefault(name, {})
-            group_structs: dict[int, tuple] = {}
-            per_atom: set[int] = set()
             for index in todo:
                 key = keys[index]
                 if key is None:
                     continue  # degraded: rebuilt below or UNKNOWN either way
-                entry = column[index]
-                if entry is not None and entry.entry_type == "forward":
-                    group = id(entry.hops)
-                    struct = group_structs.get(group)
-                    if struct is None:
-                        struct = derived._resolve_node(name, entry, reps[index])
-                        if group not in per_atom:
-                            if entry in node_cache:
-                                group_structs[group] = struct
-                            else:
-                                per_atom.add(group)
-                else:
-                    struct = derived._resolve_node(name, entry, reps[index])
+                struct = derived._resolve_node(name, column[index], reps[index])
                 if struct != key[slot]:
                     patches.setdefault(index, {})[slot] = struct
 
         # (e) Patch: a changed vector shares an existing table or runs
         # one graph evaluation; every other atom adopts its base table.
+        derived._decisions = columns
         tables = derived._tables
-        derived_keys: list = []
+        derived_keys = derived._keys
         builds = shared = 0
         for index, base_index in enumerate(base_of):
             if index in rebuild:
-                derived._build_atom(index, columns)
+                derived._build_atom(index)
                 continue
             key = keys[index]
             patch = patches.get(index)
             if patch is None:
                 tables[index] = self._tables[base_index]
-                derived_keys.append(key)
+                derived_keys[index] = key
                 continue
             vector = list(key)
             for slot, struct in patch.items():
@@ -542,17 +535,13 @@ class AtomGraphEngine:
             else:
                 shared += 1
             tables[index] = table
-            derived_keys.append(key)
+            derived_keys[index] = key
         if bus.ACTIVE.enabled:
             if builds:
                 bus.ACTIVE.count("verify.graph_builds", builds)
             if shared:
                 bus.ACTIVE.count("verify.graph_shared", shared)
         derived._complete = True
-        derived._decisions = columns
-        # A rebuilt atom's vector is recovered from ``_shared`` on the
-        # next derivation, should there be one.
-        derived._keys = None if rebuild else derived_keys
         dirty = len(rebuild | patches.keys())
         derived.delta_stats = DeltaStats(
             base_fingerprint=self.dataplane.fib_fingerprint(),
@@ -608,29 +597,6 @@ class AtomGraphEngine:
                 base_of.append(base_index)
         return reps, atoms, base_of
 
-    def _decision_lists(self) -> dict[str, list]:
-        """Per device, the FIB entry governing each atom.
-
-        A derived engine inherits its lineage's; a cold one sweeps its
-        compiled indexes once, on its first derivation.
-        """
-        if self._decisions is None:
-            self._decisions = self._sweep_decisions()
-        return self._decisions
-
-    def _atom_keys(self) -> list:
-        """Per atom, the decision vector its table is shared under
-        (None for a degraded atom, whose table is not shared)."""
-        if self._keys is None:
-            key_of = {
-                id(table): key for key, table in list(self._shared.items())
-            }
-            self._keys = [
-                key_of.get(id(self._tables[index]))
-                for index in range(len(self.atoms))
-            ]
-        return self._keys
-
     def _interface_force_indexes(
         self, device_delta, target: Dataplane, reps: list[int]
     ) -> set[int]:
@@ -655,34 +621,25 @@ class AtomGraphEngine:
 
     # -- construction -------------------------------------------------------
 
-    def _ensure_all(
-        self, decisions: Optional[dict[str, list]] = None
-    ) -> None:
-        """Resolve every (device, atom) decision in one sweep per device
-        (unless the caller already swept) and assemble/evaluate each
+    def _ensure_all(self) -> None:
+        """Resolve every (device, atom) decision in one linear merge of
+        each device's compiled index against the sorted reps, keep the
+        sweep (apply_delta starts from it), and assemble/evaluate each
         atom's graph."""
         if self._complete:
             return
-        if decisions is None:
-            decisions = self._sweep_decisions()
-        for index in range(len(self.atoms)):
-            if index not in self._tables:
-                self._build_atom(index, decisions)
-        self._complete = True
-
-    def _sweep_decisions(self) -> dict[str, list]:
-        """Per device: the FIB entry governing each atom, via one
-        linear merge of the compiled index against the sorted reps."""
-        return {
+        self._decisions = {
             name: self.dataplane.devices[name].compiled_index().sweep(
                 self._reps
             )
             for name in self._names
         }
+        for index in range(len(self.atoms)):
+            if index not in self._tables:
+                self._build_atom(index)
+        self._complete = True
 
-    def _build_atom(
-        self, index: int, decisions: Optional[dict[str, list]] = None
-    ) -> dict[str, AtomVerdict]:
+    def _build_atom(self, index: int) -> dict[str, AtomVerdict]:
         rep = self._reps[index]
         if rep in self.dataplane.degraded_owned:
             # The atom's destination is owned by a degraded node
@@ -698,11 +655,11 @@ class AtomGraphEngine:
             table = {name: verdict for name in self._names}
             self._tables[index] = table
             return table
+        decisions = self._decisions
         structs: dict[str, tuple] = {}
         for name in self._names:
-            per_device = decisions.get(name) if decisions is not None else None
-            if per_device is not None:
-                entry = per_device[index]
+            if decisions is not None:
+                entry = decisions[name][index]
             else:
                 entry = self.dataplane.devices[name].compiled_index().probe(
                     rep
@@ -717,6 +674,7 @@ class AtomGraphEngine:
                 bus.ACTIVE.count("verify.graph_builds")
         elif bus.ACTIVE.enabled:
             bus.ACTIVE.count("verify.graph_shared")
+        self._keys[index] = key
         self._tables[index] = table
         return table
 
@@ -730,26 +688,27 @@ class AtomGraphEngine:
         (or the destination itself when directly attached) or leave the
         modelled network.
 
-        Most structs do not depend on the representative address at all
+        Terminal structs are constants (:data:`_TERMINAL`). Most forward
+        structs do not depend on the representative address at all
         (every hop names a gateway with a known subnet neighbor); those
-        are memoized per FIB entry, so across a sweep each entry is
-        resolved once — not once per atom it governs.
+        are memoized per next-hop group, so across a sweep each group is
+        resolved once — not once per entry, nor per atom. Whether a
+        struct depends on the address is a property of its group.
         """
+        terminal = _TERMINAL.get(None if entry is None else entry.entry_type)
+        if terminal is not None:
+            return terminal
+        hops = entry.hops
         device_cache = self._node_cache.get(name)
         if device_cache is None:
             device_cache = self._node_cache[name] = {}
-        cached = device_cache.get(entry)
+        cached = device_cache.get(hops)
         if cached is not None:
             return cached
-        if entry is None or entry.entry_type in ("receive", "discard"):
-            kind = None if entry is None else entry.entry_type
-            struct = ((), (_TERMINAL[kind],), kind == "receive")
-            device_cache[entry] = struct
-            return struct
         successors: set[str] = set()
         terminals: set[Disposition] = set()
         rep_dependent = False
-        for hop in entry.hops:
+        for hop in hops:
             gateway = hop.gateway
             if gateway is not None:
                 hop_key = (name, hop.interface, gateway)
@@ -789,7 +748,7 @@ class AtomGraphEngine:
             False,
         )
         if not rep_dependent:
-            device_cache[entry] = struct
+            device_cache[hops] = struct
         return struct
 
     def _direct_disposition(self, name: str, hop) -> Disposition:
@@ -908,25 +867,21 @@ class AtomGraphEngine:
 #: Engines the module-level LRU keeps resident, on top of what live
 #: owners reserve through :func:`reserve_engines`.
 CACHE_LIMIT = 8
-_CACHE: OrderedDict[tuple, AtomGraphEngine] = OrderedDict()
+# fib fingerprint -> engine, least recently used first.
+_CACHE: OrderedDict[int, AtomGraphEngine] = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 # owner -> engines it reserved; an entry leaves with its owner.
 _RESERVED: "weakref.WeakKeyDictionary[object, int]" = (
     weakref.WeakKeyDictionary()
 )
-# key -> build lock, so concurrent engine_for calls for the *same*
-# forwarding state coalesce onto one build while distinct states still
-# build in parallel (the service's worker threads hit this constantly).
-_BUILDS: dict[tuple, threading.Lock] = {}
+# fingerprint -> build lock, so concurrent engine_for calls for the
+# *same* forwarding state coalesce onto one build while distinct states
+# still build in parallel (the service's worker threads hit this
+# constantly).
+_BUILDS: dict[int, threading.Lock] = {}
 
 
-def _atoms_signature(atoms: Optional[Sequence[IntervalSet]]) -> int:
-    if atoms is None:
-        return 0
-    return hash(tuple(atom.min() for atom in atoms))
-
-
-def _cached_engine(key: tuple) -> Optional[AtomGraphEngine]:
+def _cached_engine(key: int) -> Optional[AtomGraphEngine]:
     with _CACHE_LOCK:
         engine = _CACHE.get(key)
         if engine is not None:
@@ -936,7 +891,7 @@ def _cached_engine(key: tuple) -> Optional[AtomGraphEngine]:
         return engine
 
 
-def _register_engine(key: tuple, engine: AtomGraphEngine) -> AtomGraphEngine:
+def _register_engine(key: int, engine: AtomGraphEngine) -> AtomGraphEngine:
     """Insert ``engine`` under ``key`` — unless someone got there first.
 
     First registration wins: if a delta derivation landed while a cold
@@ -968,7 +923,7 @@ def _register_engine(key: tuple, engine: AtomGraphEngine) -> AtomGraphEngine:
 def _derive_engine(
     dataplane: Dataplane,
     base: AtomGraphEngine,
-    key: tuple,
+    key: int,
     delta: Optional["DataplaneDelta"] = None,
 ) -> tuple[Optional[AtomGraphEngine], Optional[str]]:
     """Attempt the delta path; returns (engine, fallback_reason).
@@ -1036,11 +991,9 @@ def _derive_engine(
 
 
 def engine_for(
-    dataplane: Dataplane,
-    atoms: Optional[Sequence[IntervalSet]] = None,
-    base: Optional[AtomGraphEngine] = None,
+    dataplane: Dataplane, *, base: Optional[AtomGraphEngine] = None
 ) -> AtomGraphEngine:
-    """The memoized engine for ``dataplane`` (and atom partition).
+    """The memoized engine for ``dataplane``.
 
     Keyed by FIB *content* hash, not object identity: two snapshots
     that converged to the same forwarding state — N seeds in an ensemble
@@ -1053,15 +1006,14 @@ def engine_for(
     to a cold build when the delta is structurally unapplicable or
     exceeds :data:`DELTA_THRESHOLD` (the fallback engine carries the
     reason in its ``delta_stats``). A base that already forwards like
-    ``dataplane`` is the engine itself. Lineage only composes with the
-    default partition (``atoms is None``).
+    ``dataplane`` is the engine itself.
 
     Thread-safe: concurrent cold builds for one forwarding state
     coalesce onto a single build; a delta derivation racing a cold
     build for the same key resolves first-registration-wins, so every
     caller still receives one shared engine object per key.
     """
-    return _lookup(dataplane, atoms, base)[0]
+    return _lookup(dataplane, base)[0]
 
 
 def advance_engine(
@@ -1078,22 +1030,21 @@ def advance_engine(
     A temporal stream advances one lineage through its checkpoints
     this way, counting each fallback as it happens.
     """
-    return _lookup(dataplane, None, base, delta)
+    return _lookup(dataplane, base, delta)
 
 
 def _lookup(
     dataplane: Dataplane,
-    atoms: Optional[Sequence[IntervalSet]],
     base: Optional[AtomGraphEngine],
     delta: Optional["DataplaneDelta"] = None,
 ) -> tuple[AtomGraphEngine, Optional[str]]:
-    key = (dataplane.fib_fingerprint(), _atoms_signature(atoms))
+    key = dataplane.fib_fingerprint()
     engine = _cached_engine(key)
     if engine is not None:
         return engine, None
     fallback_reason: Optional[str] = None
-    if base is not None and atoms is None:
-        if base.dataplane.fib_fingerprint() == key[0]:
+    if base is not None:
+        if base.dataplane.fib_fingerprint() == key:
             # Evicted from the LRU (or never registered) but resident
             # in the caller's lineage: the base *is* this engine.
             return _register_engine(key, base), None
@@ -1118,7 +1069,7 @@ def _lookup(
             else None
         )
         build_start = time.perf_counter()
-        engine = AtomGraphEngine(dataplane, atoms)
+        engine = AtomGraphEngine(dataplane)
         build_seconds = time.perf_counter() - build_start
         if fallback_reason is not None:
             engine.delta_stats = DeltaStats(
@@ -1161,21 +1112,20 @@ def reserve_engines(owner: object, count: int) -> None:
 
 
 def resident_engine(fingerprint: int) -> Optional[AtomGraphEngine]:
-    """The cached default-partition engine for ``fingerprint``, or None.
+    """The cached engine for ``fingerprint``, or None.
 
     A peek for lineage walks: it neither counts a cache hit nor
     refreshes the entry's LRU position.
     """
     with _CACHE_LOCK:
-        return _CACHE.get((fingerprint, 0))
+        return _CACHE.get(fingerprint)
 
 
 def drop_engines(fingerprints) -> None:
-    """Drop every cached engine (any partition) for ``fingerprints``."""
-    doomed = set(fingerprints)
+    """Drop the cached engines for ``fingerprints``."""
     with _CACHE_LOCK:
-        for key in [key for key in _CACHE if key[0] in doomed]:
-            del _CACHE[key]
+        for fingerprint in fingerprints:
+            _CACHE.pop(fingerprint, None)
 
 
 def clear_engine_cache() -> None:

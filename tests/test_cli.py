@@ -286,3 +286,30 @@ class TestTemporalScenario:
         topology = fig3_scenario().topology
         with pytest.raises(SystemExit, match="flap:r1-r2, flap:r2-r3"):
             _temporal_scenario(self.args("r9"), topology)
+
+
+class TestSubmit:
+    @pytest.fixture()
+    def fig2_path(self, fig2_snapshots, tmp_path):
+        healthy, _ = fig2_snapshots
+        path = tmp_path / "fig2.json"
+        healthy.save(path)
+        return path
+
+    def test_reachability_prints_the_answer(self, fig2_path, capsys):
+        code = main(
+            ["submit", str(fig2_path), "reachability", "--workers", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("Answer[reachability] (6 rows)")
+        assert "r6      | 2.2.2.1     | 8                 | accepted" in out
+
+    def test_malformed_param_exits_2(self, fig2_path, capsys):
+        code = main(
+            ["submit", str(fig2_path), "reachability", "--param", "nodes"]
+        )
+        assert code == 2
+        assert "bad --param 'nodes' (expected KEY=VALUE)" in (
+            capsys.readouterr().out
+        )

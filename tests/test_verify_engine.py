@@ -9,14 +9,17 @@ legacy evaluation paths it replaced.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.context import ScenarioContext
 from repro.core.pipeline import ModelFreeBackend
 from repro.ensemble import EnsembleRunner
 from repro.corpus.production import production_scenario, scaled_timers
+from repro.dataplane.delta import DataplaneDelta
 from repro.dataplane.forwarding import Disposition, ForwardingWalk
-from repro.dataplane.model import Dataplane
+from repro.dataplane.model import Dataplane, ForwardingEntry, ResolvedHop
 from repro.gnmi.aft import (
     AftInterface,
     AftIpv4Entry,
@@ -252,42 +255,48 @@ class TestEngineCache:
         clear_engine_cache()
 
     def test_node_cache_keys_by_entry_content(self, fig2_snapshots):
-        """Two distinct-but-equal ForwardingEntry objects must share one
-        node-cache slot (content keying); id() keying would give two —
-        and, worse, could alias different entries after GC recycling."""
-        from repro.dataplane.model import ForwardingEntry, ResolvedHop
-
+        """Forward entries with distinct-but-equal next-hop groups share
+        one node-cache slot whatever their prefixes (content keying of
+        the group); id() keying would give two — and, worse, could
+        alias different groups after GC recycling. Terminal entries
+        take no slot at all."""
         healthy, _ = fig2_snapshots
-        engine = AtomGraphEngine(healthy.dataplane)
-        name = next(iter(healthy.dataplane.devices))
-        entry_a = ForwardingEntry(
-            prefix=Prefix.parse("2.2.2.1/32"),
-            entry_type="receive",
-            hops=(),
+        dataplane = healthy.dataplane
+        engine = AtomGraphEngine(dataplane)
+        engine.precompute()
+        # Two memoised (rep-independent) groups of one device.
+        name, cache = next(
+            (name, cache)
+            for name, cache in sorted(engine._node_cache.items())
+            if len(cache) >= 2
         )
-        entry_b = ForwardingEntry(
-            prefix=Prefix.parse("2.2.2.1/32"),
-            entry_type="receive",
-            hops=(ResolvedHop(interface="lo", gateway=None),),
-        )
-        entry_a_clone = ForwardingEntry(
-            prefix=Prefix.parse("2.2.2.1/32"),
-            entry_type="receive",
-            hops=(),
-        )
-        assert entry_a_clone is not entry_a
-        rep = parse_ipv4("2.2.2.1")
+        hops, other = sorted(cache, key=repr)[:2]
         engine._node_cache.clear()
 
         def slots_used():
             return sum(len(sub) for sub in engine._node_cache.values())
 
-        engine._resolve_node(name, entry_a, rep)
-        slots = slots_used()
-        engine._resolve_node(name, entry_a_clone, rep)
-        assert slots_used() == slots  # shared, not duplicated
-        engine._resolve_node(name, entry_b, rep)
-        assert slots_used() == slots + 1  # different content
+        def forward(prefix, group):
+            clone = tuple(ResolvedHop(h.interface, h.gateway) for h in group)
+            assert clone == group and clone is not group
+            return ForwardingEntry(Prefix.parse(prefix), "forward", clone)
+
+        first = forward("198.51.100.0/24", hops)
+        second = forward("203.0.113.7/32", hops)
+        struct = engine._resolve_node(name, first, first.prefix.first)
+        assert slots_used() == 1
+        assert engine._resolve_node(
+            name, second, second.prefix.first
+        ) == struct
+        assert slots_used() == 1  # shared across prefixes, not duplicated
+        third = forward("198.51.100.0/24", other)
+        engine._resolve_node(name, third, third.prefix.first)
+        assert slots_used() == 2  # different group content
+        for kind in ("receive", "discard"):
+            entry = ForwardingEntry(Prefix.parse("2.2.2.1/32"), kind, hops)
+            engine._resolve_node(name, entry, parse_ipv4("2.2.2.1"))
+        engine._resolve_node(name, None, parse_ipv4("2.2.2.1"))
+        assert slots_used() == 2
 
     def test_multirun_builds_n_engines_not_n_squared(self, fig3):
         seeds = (0, 1, 2)
@@ -309,6 +318,200 @@ class TestEngineCache:
         distinct = {record.fingerprint for record in runner.last_records}
         assert builds == len(distinct) <= len(seeds)
         clear_engine_cache()
+
+
+#: The per-entry resolver's terminal dispositions, kept with it below.
+_TERMINAL = {
+    None: Disposition.NO_ROUTE,
+    "receive": Disposition.ACCEPTED,
+    "discard": Disposition.NULL_ROUTED,
+}
+
+
+class PerEntryNodes:
+    """The node resolver the engine used before it memoised per
+    next-hop group: one struct per FIB *entry*, terminals included.
+    ``_resolve_node`` and ``_direct_disposition`` are kept verbatim as
+    the oracle for the per-group memo."""
+
+    def __init__(self, dataplane: Dataplane) -> None:
+        self.dataplane = dataplane
+        self._hop_peers: dict = {}
+        self._node_cache: dict[str, dict] = {}
+
+    def _resolve_node(self, name: str, entry, rep: int) -> tuple:
+        device_cache = self._node_cache.get(name)
+        if device_cache is None:
+            device_cache = self._node_cache[name] = {}
+        cached = device_cache.get(entry)
+        if cached is not None:
+            return cached
+        if entry is None or entry.entry_type in ("receive", "discard"):
+            kind = None if entry is None else entry.entry_type
+            struct = ((), (_TERMINAL[kind],), kind == "receive")
+            device_cache[entry] = struct
+            return struct
+        successors: set[str] = set()
+        terminals: set[Disposition] = set()
+        rep_dependent = False
+        for hop in entry.hops:
+            gateway = hop.gateway
+            if gateway is not None:
+                hop_key = (name, hop.interface, gateway)
+                try:
+                    peer = self._hop_peers[hop_key]
+                except KeyError:
+                    resolved = self.dataplane.neighbor_via(
+                        name, hop.interface, gateway, rep
+                    )
+                    peer = resolved[0] if resolved is not None else None
+                    self._hop_peers[hop_key] = peer
+                if peer is not None:
+                    successors.add(peer)
+                elif gateway in self.dataplane.degraded_owned:
+                    terminals.add(Disposition.UNKNOWN_DEGRADED)
+                elif gateway == rep:
+                    rep_dependent = True
+                    terminals.add(self._direct_disposition(name, hop))
+                else:
+                    # EXITS unless the atom's representative *is* the
+                    # gateway, so this branch is rep-dependent too.
+                    rep_dependent = True
+                    terminals.add(Disposition.EXITS_NETWORK)
+                continue
+            # Directly attached: the neighbor is the destination itself.
+            rep_dependent = True
+            resolved = self.dataplane.neighbor_via(
+                name, hop.interface, None, rep
+            )
+            if resolved is not None:
+                successors.add(resolved[0])
+            else:
+                terminals.add(self._direct_disposition(name, hop))
+        struct = (
+            tuple(sorted(successors)),
+            tuple(sorted(terminals, key=lambda d: d.value)),
+            False,
+        )
+        if not rep_dependent:
+            device_cache[entry] = struct
+        return struct
+
+    def _direct_disposition(self, name: str, hop) -> Disposition:
+        device = self.dataplane.devices[name]
+        subnet_known = (
+            (name, hop.interface) in self.dataplane.adjacency
+            or hop.interface in device.interface_addresses
+        )
+        return (
+            Disposition.DELIVERED_TO_SUBNET
+            if subnet_known
+            else Disposition.EXITS_NETWORK
+        )
+
+
+def assert_structs_match_per_entry(engine: AtomGraphEngine, seed: int) -> None:
+    """Every (device, atom) struct of ``engine`` — the vector it
+    recorded and a fresh engine's memoised resolution, asked in a
+    seeded order — equals the per-entry resolver's."""
+    dataplane = engine.dataplane
+    names = dataplane.node_names()
+    pairs = [
+        (slot, name, index)
+        for slot, name in enumerate(names)
+        for index in range(len(engine.atoms))
+    ]
+    random.Random(seed).shuffle(pairs)
+    oracle = PerEntryNodes(dataplane)
+    fresh = AtomGraphEngine(dataplane, engine.atoms, _observe=False)
+    for slot, name, index in pairs:
+        rep = engine.atoms[index].min()
+        match = dataplane.devices[name].trie.longest_match(rep)
+        entry = match[1] if match is not None else None
+        expected = oracle._resolve_node(name, entry, rep)
+        assert fresh._resolve_node(name, entry, rep) == expected, (name, rep)
+        key = engine._keys[index]
+        if rep in dataplane.degraded_owned:
+            assert key is None
+        else:
+            assert key[slot] == expected, (name, rep)
+
+
+def _lan_dataplane() -> Dataplane:
+    """a, b and c on one /24, a forwarding the whole subnet out of its
+    LAN port: a's one directly attached group reaches b, c or nobody
+    depending on the atom, so its struct must never be memoised."""
+
+    def host(name: str, address: str) -> AftSnapshot:
+        snapshot = AftSnapshot(device=name)
+        snapshot.interfaces = [
+            AftInterface(
+                name="eth0", ipv4_address=address, prefix_length=24,
+                enabled=True,
+            )
+        ]
+        snapshot.entries = [
+            AftIpv4Entry(
+                prefix=Prefix.parse(f"{address}/32"), entry_type="receive"
+            )
+        ]
+        return snapshot
+
+    a = host("a", "10.0.0.1")
+    a.next_hops[1] = AftNextHop(index=1, interface="eth0")
+    a.next_hop_groups[1] = AftNextHopGroup(group_id=1, next_hop_indices=(1,))
+    a.entries.append(
+        AftIpv4Entry(
+            prefix=Prefix.parse("10.0.0.0/24"), entry_type="forward",
+            next_hop_group=1,
+        )
+    )
+    return Dataplane.from_afts(
+        {"a": a, "b": host("b", "10.0.0.2"), "c": host("c", "10.0.0.3")}
+    )
+
+
+class TestNodeStructOracle:
+    """Structs memoised per next-hop group ≡ structs per FIB entry."""
+
+    def test_address_dependent_group(self):
+        dataplane = _lan_dataplane()
+        engine = self._cold(dataplane)
+        successors = {
+            engine._keys[index][0][0]
+            for index in range(len(engine.atoms))
+            if engine.atoms[index].min() in range(
+                parse_ipv4("10.0.0.0"), parse_ipv4("10.0.0.255") + 1
+            )
+        }
+        assert {("b",), ("c",), ()} <= successors
+        assert not engine._node_cache.get("a")
+        assert_structs_match_per_entry(engine, 0)
+        assert_engine_matches_walker(dataplane)
+
+    def _cold(self, dataplane: Dataplane) -> AtomGraphEngine:
+        engine = AtomGraphEngine(dataplane)
+        engine.precompute()
+        return engine
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shipped_corpora(
+        self, fig2_snapshots, fig3_emulated, fig3_model, seed
+    ):
+        for snapshot in (*fig2_snapshots, fig3_emulated[1], fig3_model[1]):
+            engine = self._cold(snapshot.dataplane)
+            assert_structs_match_per_entry(engine, seed)
+
+    def test_production_and_derived_link_cuts(self, production6_states):
+        base, *cuts = production6_states
+        root = self._cold(base.dataplane)
+        assert_structs_match_per_entry(root, 0)
+        assert len(cuts) == 9
+        for seed, cut in enumerate(cuts, start=1):
+            derived = root.apply_delta(
+                DataplaneDelta(base.dataplane, cut.dataplane)
+            )
+            assert_structs_match_per_entry(derived, seed)
 
 
 class TestRowFormatting:

@@ -252,17 +252,6 @@ class TestRestrictedDifferential:
             healthy, buggy, HeaderSpace.dst_prefix(prefix)
         )
 
-    def test_shared_partition_argument(self, pair):
-        healthy, buggy = pair
-        space = dst((0, parse_ipv4("10.255.255.255")))
-        shared = dst_atoms(healthy, buggy)
-        fast = differential_reachability(
-            healthy, buggy, dst_space=space, atoms=shared
-        )
-        assert diff_rows(fast) == diff_rows(
-            scalar_differential(healthy, buggy, space)
-        )
-
     def test_acl_tainted_ingress(self, acl_line):
         # The same line with b's filter opened to every source: traffic
         # from a to c's loopback changes behaviour on the ACL's slice.

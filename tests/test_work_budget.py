@@ -3,9 +3,11 @@
 Wall time on a shared host is noisy; these counts are not. Each test
 runs one small converged production fabric and counts the calls that
 carry per-prefix cost — ``Prefix.parse``, ``str(Prefix)``, the afts
-encode and decode — or the engines a question stream builds, so a
-change that brings back a re-parse, an unread encode, a second decode
-or a duplicate engine fails here exactly, not as a blur in a benchmark.
+encode and decode — or the engines a question stream builds, or the
+engine's node structs and index probes, so a change that brings back a
+re-parse, an unread encode, a second decode, a duplicate engine, a
+per-entry memo or a second decision sweep fails here exactly, not as a
+blur in a benchmark.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.chaos import ChaosInjector
-from repro.core.context import ScenarioContext
 from repro.core.faults import FaultPlan, StaleAft
-from repro.core.pipeline import ModelFreeBackend
 from repro.corpus.production import production_scenario, scaled_timers
 from repro.corpus.routes import RouteInjector
 from repro.gnmi.aft import AftSnapshot
@@ -29,8 +29,12 @@ from repro.net.addr import Prefix
 from repro.obs import tracing
 from repro.service.resilience import QuestionSpec
 from repro.service.store import SnapshotStore
-from repro.verify.engine import CACHE_LIMIT, clear_engine_cache
-from repro.whatif.scenarios import _unique_node_pairs
+from repro.verify.engine import (
+    CACHE_LIMIT,
+    AtomGraphEngine,
+    clear_engine_cache,
+    engine_for,
+)
 
 
 def _converged():
@@ -132,20 +136,12 @@ def test_stale_fault_still_takes_the_wire_and_is_caught(calls):
     assert report.afts[node].fib_version == live
 
 
-def test_question_stream_engine_builds():
+def test_question_stream_engine_builds(production6_states):
     """A seeded stream of reachability and differential questions over
     more states than CACHE_LIMIT, through one store: every
     engine it makes is a cold build or a derivation, and both are
     counted exactly."""
-    scenario = production_scenario(6, peers=1, routes_per_peer=40, seed=7)
-    backend = ModelFreeBackend(
-        scenario.topology, timers=scaled_timers(40), quiet_period=30.0
-    )
-    context = ScenarioContext(name="prod", injectors=tuple(scenario.injectors))
-    states = [backend.run(context)] + [
-        backend.run(context.with_link_down(a, z))
-        for a, z in _unique_node_pairs(scenario.topology)
-    ]
+    states = production6_states
     assert len({s.dataplane.fib_fingerprint() for s in states}) > CACHE_LIMIT
     base = states[0]
     store = SnapshotStore()
@@ -170,3 +166,46 @@ def test_question_stream_engine_builds():
     # a differential against the resident base, else built cold.
     assert tracer.counters.get("verify.engine_builds", 0) <= 8
     assert tracer.counters.get("verify.delta_applies", 0) <= 2
+
+
+def test_node_structs_resolve_once_per_next_hop_group(production6_states):
+    """A forward struct depends on the device, the entry's next-hop
+    group and the adjacency — never on the prefix — so a cold engine
+    memoises at most one struct per (device, next-hop group)."""
+    dataplane = production6_states[0].dataplane
+    engine = AtomGraphEngine(dataplane)
+    engine.precompute()
+    groups = {
+        (name, entry.hops)
+        for name, device in dataplane.devices.items()
+        for _, entry in device.trie.items()
+        if entry.entry_type == "forward"
+    }
+    forwards = sum(
+        entry.entry_type == "forward"
+        for device in dataplane.devices.values()
+        for _, entry in device.trie.items()
+    )
+    memo = sum(len(sub) for sub in engine._node_cache.values())
+    assert memo <= len(groups) < forwards / 4
+
+
+def test_derivations_reuse_the_root_sweep(production6_states):
+    """The baseline engine sweeps every device's compiled index once
+    and keeps the sweep; the engines derived from it for every
+    single-link cut probe no compiled index at all."""
+    base, *cuts = production6_states
+    clear_engine_cache()
+    with tracing() as tracer:
+        root = engine_for(base.dataplane)
+        root.precompute()
+        for cut in cuts:
+            engine_for(cut.dataplane, base=root)
+    clear_engine_cache()
+    counters = tracer.counters
+    assert len(cuts) == 9
+    assert counters["verify.engine_builds"] == 1
+    assert counters["verify.delta_applies"] == len(cuts)
+    assert counters["verify.index_probes"] == (
+        len(root.atoms) * len(base.dataplane.devices)
+    )
